@@ -68,7 +68,11 @@ class CrdtPaxosConfig:
         dissemination gap: a peer that missed a delta (dropped MERGE whose
         batch reached quorum without it) would otherwise stay divergent
         until the next query touches it.  Off by default — the probe costs
-        a full-state digest per MERGE on both sides.
+        a canonical encoding of every *new* full state on both sides (the
+        digest is a CRC32 of the state's memoised wire blob, so a state
+        already encoded for a PREPARE, or unchanged since the last probe,
+        is fingerprinted without encoding it again; a small state, below
+        the codec's sized crossover, is cheap to encode each time).
     ``request_timeout``
         Client-request supervision: how long a proposer waits before
         re-driving an open request (resending MERGEs / starting a fresh

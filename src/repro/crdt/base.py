@@ -16,6 +16,7 @@ paper, which a G-Counter increment needs to pick its slot.
 from __future__ import annotations
 
 import itertools
+import weakref
 from abc import ABC, abstractmethod
 from typing import Any, Iterable, TypeVar
 
@@ -23,6 +24,25 @@ S = TypeVar("S", bound="StateCRDT")
 
 #: Process-wide monotonic stamp source (see :meth:`StateCRDT.version_stamp`).
 _next_stamp = itertools.count(1).__next__
+
+#: The intern table: canonical wire blob → the payload resident in this
+#: process that encodes to it (see :meth:`StateCRDT.adopt_wire_blob`).
+#: Weak-valued, so an entry lives exactly as long as its payload and the
+#: table needs no size limit; the key is the payload's own memoised blob
+#: object, so an entry costs no second copy of the bytes.
+_RESIDENT: "weakref.WeakValueDictionary[bytes, StateCRDT]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def resident_payload(blob: bytes) -> "StateCRDT | None":
+    """The live payload whose canonical wire encoding is ``blob``, if any."""
+    return _RESIDENT.get(blob)
+
+
+def resident_payload_count() -> int:
+    """How many payloads the intern table currently points at."""
+    return len(_RESIDENT)
 
 
 class StateCRDT(ABC):
@@ -71,8 +91,11 @@ class StateCRDT(ABC):
 
         Digests are built on ``hash()`` (salted per process) and version
         stamps are process-local counters; shipping either to another
-        process would poison its caches.  No transport serializes payloads
-        today — this keeps that future-safe.
+        process would poison its caches.  The spill tier pickles payloads
+        (:mod:`repro.crdt.serialize`) and the checker deep-copies them;
+        every ``_crdt_``-prefixed slot — the memoised wire blob included,
+        which a record would otherwise carry as a second copy of the
+        payload — stays behind and is re-derived lazily.
         """
         state = super().__getstate__()
         if isinstance(state, tuple) and state and isinstance(state[0], dict):
@@ -119,6 +142,22 @@ class StateCRDT(ABC):
             object.__setattr__(self, "_crdt_stamp", cached)
         return cached
 
+    def wire_blob(self) -> bytes | None:
+        """This payload's memoised canonical wire encoding, if it has one.
+
+        Set by the codec (:mod:`repro.wire.values`) the first time a
+        payload at or above the sized crossover is encoded or decoded;
+        payloads are immutable, so the bytes stay right for the object's
+        whole life.
+        """
+        return self.__dict__.get("_crdt_blob")
+
+    def adopt_wire_blob(self, blob: bytes) -> None:
+        """Memoise ``blob`` as this payload's encoding and make this the
+        object the intern table hands out for those bytes."""
+        object.__setattr__(self, "_crdt_blob", blob)
+        _RESIDENT[blob] = self
+
     def same_payload(self: S, other: S) -> bool:
         """True for the same object or structurally equal payloads.
 
@@ -128,6 +167,14 @@ class StateCRDT(ABC):
         under the partner's :meth:`version_stamp` (bounded per object), so
         re-comparing the same pair — every ack of a read-heavy workload
         against an unchanged acceptor state — is O(1) after the first hit.
+
+        A proven equality also settles which of the two the intern table
+        keeps: equal payloads are interchangeable (they answer every
+        query alike), so if either carries a wire blob both get it and
+        the table is re-pointed at ``self`` — the side :meth:`join` and
+        every accumulator keep.  A freshly decoded duplicate of a
+        resident state is thereby the last of its kind: the next arrival
+        of those bytes decodes to the resident object itself.
         """
         if self is other:
             return True
@@ -139,6 +186,10 @@ class StateCRDT(ABC):
             return True
         if self != other:
             return False
+        blob = other.__dict__.get("_crdt_blob") or self.__dict__.get("_crdt_blob")
+        if blob is not None:
+            object.__setattr__(other, "_crdt_blob", blob)
+            self.adopt_wire_blob(blob)
         for payload, partner_stamp in (
             (self, other_stamp),
             (other, self.version_stamp()),

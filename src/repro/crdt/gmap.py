@@ -124,6 +124,16 @@ class GMapApply(UpdateOp):
         base = self.initial if current is None else current
         return state.with_entry(self.key, self.update.apply(base, replica_id))
 
+    def delta(self, before: GMap, after: GMap, replica_id: str) -> GMap:
+        # One entry: the nested update's own delta under ``key``.  Where
+        # the key is new the whole nested value goes — it is all update,
+        # and unlike the nested delta it includes ``initial``.
+        nested = after.get(self.key)
+        current = before.get(self.key)
+        if current is not None:
+            nested = self.update.delta(current, nested, replica_id)
+        return GMap(((self.key, nested),))
+
     def wire_size(self) -> int:
         return 8 + _wire_size(self.key) + self.update.wire_size()
 

@@ -17,10 +17,13 @@ pickle badly.  What the frame adds on top is what pickle lacks:
   ``(StateCRDT, Round, StateCRDT | None)`` triple or
   :class:`SerializationError` is raised (a spill store must never hand
   the protocol a payload of the wrong type);
-* cache hygiene: the hot-path identity caches (``_crdt_digest``,
-  ``_crdt_stamp``, ``_crdt_eq_stamps``) are process-local and are
-  stripped by :meth:`repro.crdt.base.StateCRDT.__getstate__`, so a
-  decoded payload re-derives them lazily instead of trusting stale ones.
+* cache hygiene: the hot-path caches (``_crdt_digest``,
+  ``_crdt_stamp``, ``_crdt_eq_stamps``, the memoised wire blob
+  ``_crdt_blob`` and the LWW-Map's ``_crdt_positions`` index) are
+  process-local or derived and are stripped by
+  :meth:`repro.crdt.base.StateCRDT.__getstate__`, so a record holds the
+  payload once and a decoded payload re-derives them lazily instead of
+  trusting stale ones.
 
 Integrity (checksums, truncation detection) is deliberately *not* this
 module's job: the storage layer frames every record with a CRC over the

@@ -8,7 +8,10 @@ post-merge state hashes differently may have missed earlier deltas.
 
 The digest here is a CRC32 over the state's canonical wire encoding
 (sorted-container value codec), so two replicas holding equal payloads
-always agree on it, in any process, under any hash seed.  Digest
+always agree on it, in any process, under any hash seed.  A payload
+large enough to carry a memoised wire blob is fingerprinted from that
+blob — a checksum pass over bytes already in memory, not a fresh
+encode.  Digest
 *equality* implies payload equality only probabilistically (32-bit) —
 the protocol uses mismatch as a **hint** to ship a full state, which is
 always safe, so a collision can cost at most one skipped catch-up.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import zlib
 from typing import Any
 
-from repro.wire.values import encode_value
+from repro.wire.values import payload_blob
 
 _registry_loaded = False
 
@@ -37,6 +40,4 @@ def _ensure_registry() -> None:
 def stable_digest(state: Any) -> int:
     """Canonical cross-process digest of a CRDT payload."""
     _ensure_registry()
-    out = bytearray()
-    encode_value(state, out, strict=True)
-    return zlib.crc32(out)
+    return zlib.crc32(payload_blob(state))

@@ -6,16 +6,16 @@ decodes tags positionally, so new classes are appended at the end and
 existing entries are never removed or reordered without bumping
 :data:`repro.wire.framing.WIRE_VERSION`.
 
-Three kinds of classes are registered:
+Three kinds of classes are registered, and every one is rebuilt by
+calling its constructor with the decoded fields in order (the decode
+plan is compiled here, at registration):
 
 * frozen dataclasses (CRDT payloads, protocol/baseline messages,
   :class:`~repro.core.rounds.Round`, keyed wrappers) — fields are the
-  dataclass ``init`` fields, decode rebuilds via keyword construction so
-  memo slots (``_size``) are reinitialized by the generated
-  ``__init__``;
+  dataclass ``init`` fields, so memo slots (``_size``) are reinitialized
+  by the generated ``__init__``;
 * slotted op classes (update/query functions) — fields are the
-  ``__slots__`` chain, decode rebuilds positionally (their constructors
-  take the slots in order);
+  ``__slots__`` chain, which their constructors take in order;
 * field-less ops (``Elements()``, ``IdentityQuery()``, …) — a bare tag.
 """
 
@@ -52,7 +52,7 @@ from repro.net import control as net_control
 
 def _register_dataclass(cls: type) -> None:
     fields = tuple(f.name for f in dataclasses.fields(cls) if f.init)
-    register(cls, fields, positional=False)
+    register(cls, fields)
 
 
 def _register_slotted(cls: type) -> None:
@@ -62,7 +62,7 @@ def _register_slotted(cls: type) -> None:
         if isinstance(slots, str):
             slots = (slots,)
         names.extend(slots)
-    register(cls, tuple(names), positional=True)
+    register(cls, tuple(names))
 
 
 # ---------------------------------------------------------------------
@@ -129,12 +129,7 @@ for _cls in (
     if _cls in (graph.AddEdge, graph.RemoveEdge, graph.HasEdge):
         # These store one ``edge`` tuple but construct from its two
         # halves; the slot order alone cannot rebuild them.
-        register(
-            _cls,
-            ("edge",),
-            positional=True,
-            build=lambda edge, _cls=_cls: _cls(*edge),
-        )
+        register(_cls, ("edge",), build=lambda edge, _cls=_cls: _cls(*edge))
     else:
         _register_slotted(_cls)
 

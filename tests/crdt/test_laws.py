@@ -126,10 +126,17 @@ def test_wire_size_positive(name, data):
 @_SETTINGS
 @given(data=st.data())
 def test_delta_reproduces_update(name, data):
-    """The delta-mutation contract: before ⊔ delta ≡ after."""
+    """The delta-mutation contract, both halves: ``before ⊔ delta ≡
+    after``, and merged into *any* other payload the delta makes that
+    payload include the update — joining it in is as good as having
+    joined ``after``, with or without ``before`` already there."""
     state = data.draw(reachable_state(name))
+    other = data.draw(reachable_state(name))
     op = data.draw(update_op(name))
     replica = data.draw(st.sampled_from(REPLICAS))
     after = op.apply(state, replica)
     delta = op.delta(state, after, replica)
     assert state.merge(delta).equivalent(after)
+    assert delta.compare(other.merge(delta))
+    assert other.merge(state).merge(delta).equivalent(other.merge(after))
+    assert other.merge(delta).merge(state).equivalent(other.merge(after))

@@ -67,6 +67,96 @@ class TestLWWMap:
             LWWMapPut("k", TOMBSTONE, 1.0)
 
 
+def _filled_lwwmap(fields: int = 128) -> LWWMap:
+    state = LWWMap.initial()
+    for i in range(fields):
+        state = LWWMapPut(f"f{i:03d}", "0" * 32, 0.0).apply(state, "r0")
+    return state
+
+
+class TestLWWMapDeltas:
+    def test_put_delta_is_one_entry_and_small_on_the_wire(self):
+        from repro.wire import encode_body
+
+        before = _filled_lwwmap()
+        op = LWWMapPut("f064", "x" * 32, 7.0)
+        after = op.apply(before, "r1")
+        delta = op.delta(before, after, "r1")
+        assert len(delta.entries) == 1
+        assert before.merge(delta) == after
+        assert len(encode_body(after)) > 7000
+        assert len(encode_body(delta)) < 200
+
+    def test_remove_delta_carries_the_tombstone(self):
+        before = _filled_lwwmap(8)
+        op = LWWMapRemove("f003", 2.0)
+        after = op.apply(before, "r2")
+        delta = op.delta(before, after, "r2")
+        assert len(delta.entries) == 1
+        merged = LWWMap.initial().merge(delta)
+        assert "f003" not in merged
+        # The tombstone outranks an older put wherever the delta lands.
+        assert "f003" not in LWWMapPut("f003", "old", 1.0).apply(
+            LWWMap.initial(), "r0"
+        ).merge(delta)
+
+    def test_stale_put_delta_changes_nothing(self):
+        before = LWWMapPut("k", "new", 5.0).apply(LWWMap.initial(), "r0")
+        op = LWWMapPut("k", "late", 1.0)
+        after = op.apply(before, "r1")
+        assert after is before
+        assert before.merge(op.delta(before, after, "r1")) is before
+
+
+class TestLWWMapSortedInvariant:
+    """Writes and joins replace or insert entries; the result must be
+    the tuple a full re-sort by ``repr(key)`` would have produced, or
+    equal maps built along different paths stop being ``==``."""
+
+    @staticmethod
+    def _is_sorted(state: LWWMap) -> bool:
+        ranks = [repr(key) for key, _ in state.entries]
+        return ranks == sorted(ranks)
+
+    def test_inserts_land_in_repr_order_whatever_the_write_order(self):
+        keys = ["m", 3, "a", ("t", 1), "z", 10, "b"]
+        forward = backward = LWWMap.initial()
+        for key in keys:
+            forward = LWWMapPut(key, "v", 1.0).apply(forward, "r0")
+        for key in reversed(keys):
+            backward = LWWMapPut(key, "v", 1.0).apply(backward, "r0")
+        assert self._is_sorted(forward)
+        assert forward == backward
+
+    def test_join_of_disjoint_and_overlapping_maps_stays_sorted(self):
+        a = b = LWWMap.initial()
+        for i in range(0, 20, 2):
+            a = LWWMapPut(f"k{i:02d}", "a", 1.0).apply(a, "r0")
+        for i in range(0, 20, 3):
+            b = LWWMapPut(f"k{i:02d}", "b", 2.0).apply(b, "r1")
+        joined = a.merge(b)
+        assert self._is_sorted(joined)
+        assert joined == b.merge(a)
+        assert joined.get("k06") == "b" and joined.get("k02") == "a"
+        assert a.compare(joined) and b.compare(joined)
+        assert not joined.compare(a)
+
+    def test_small_side_join_returns_the_larger_map_when_subsumed(self):
+        big = _filled_lwwmap(16)
+        delta = LWWMap((big.entries[5],))
+        assert big.merge(delta) is big
+        assert delta.merge(big) is big
+        assert delta.compare(big) and not big.compare(delta)
+
+    def test_lookup_after_replacement_sees_the_new_entry(self):
+        # A replaced map shares its predecessor's position index.
+        before = _filled_lwwmap(8)
+        assert before.get("f003") == "0" * 32  # builds the index
+        after = LWWMapPut("f003", "fresh", 9.0).apply(before, "r1")
+        assert after.get("f003") == "fresh"
+        assert before.get("f003") == "0" * 32
+
+
 class TestGMap:
     def test_nested_counter(self):
         op = GMapApply("votes", GCounter.initial(), Increment(2))
@@ -108,6 +198,27 @@ class TestGMap:
         )
         assert "k" in state
         assert "other" not in state
+
+    def test_apply_delta_is_the_nested_delta_under_one_key(self):
+        before = GMap.initial()
+        for key in ("a", "b", "c"):
+            before = GMapApply(key, GCounter.initial(), Increment(5)).apply(
+                before, "r0"
+            )
+        op = GMapApply("b", GCounter.initial(), Increment(2))
+        after = op.apply(before, "r1")
+        delta = op.delta(before, after, "r1")
+        assert delta == GMap((("b", GCounter((("r1", 2),))),))
+        assert before.merge(delta) == after
+
+    def test_apply_delta_of_a_new_key_includes_the_initial_value(self):
+        seeded = GCounter((("seed", 10),))
+        op = GMapApply("fresh", seeded, Increment(1))
+        before = GMap.initial()
+        after = op.apply(before, "r0")
+        delta = op.delta(before, after, "r0")
+        assert before.merge(delta) == after
+        assert GMapGet("fresh", GCounterValue()).apply(delta) == 11
 
 
 class TestGMapPointwiseFastPath:

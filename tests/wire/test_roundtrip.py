@@ -9,6 +9,8 @@ and foreign bytes.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.gla.node import Propose, ProposeAck, ProposeNack
 from repro.baselines.multipaxos.messages import (
@@ -110,7 +112,9 @@ from repro.net.control import (
     SeverDone,
 )
 from repro.wire import (
+    SIZED_CROSSOVER,
     WIRE_MAGIC,
+    WIRE_VERSION,
     FrameDecoder,
     decode_body,
     decode_frame,
@@ -310,6 +314,18 @@ def test_unknown_version_is_rejected():
         decode_frame(bytes(frame))
 
 
+def test_version_1_frames_are_rejected():
+    # There is no version-1 reader: a frame from a pre-sized-payload
+    # build is refused at the header, by either entry point.
+    assert WIRE_VERSION == 2
+    frame = bytearray(encode_frame(Merged(request_id="m")))
+    frame[len(WIRE_MAGIC)] = 1
+    with pytest.raises(SerializationError, match="unsupported wire version 1"):
+        decode_frame(bytes(frame))
+    with pytest.raises(SerializationError, match="unsupported wire version 1"):
+        FrameDecoder().feed(bytes(frame))
+
+
 def test_foreign_magic_is_rejected():
     frame = bytearray(encode_frame(Merged(request_id="m")))
     frame[0] ^= 0xFF
@@ -320,6 +336,101 @@ def test_foreign_magic_is_rejected():
 def test_trailing_garbage_after_the_body_is_rejected():
     with pytest.raises(SerializationError):
         decode_body(encode_body(Merged(request_id="m")) + b"\x00")
+
+
+# ----------------------------------------------------------------------
+# Codec robustness: corrupt bytes raise SerializationError and nothing
+# else, and are never answered with a payload already in memory.
+# ----------------------------------------------------------------------
+def _sized_state() -> LWWMap:
+    return LWWMap(
+        tuple(
+            (f"f{i:02d}", (f"value-{i:02d}", (float(i), i, "r0")))
+            for i in range(24)
+        )
+    )
+
+
+def _decode_or_reject(decode, data):
+    """``decode(data)``, or ``SerializationError`` itself if that is
+    what it raised; anything else raised is the failure under test."""
+    try:
+        return decode(data)
+    except SerializationError as rejected:
+        return rejected
+
+
+def test_every_truncation_and_bit_flip_of_a_sized_payload_frame_is_rejected():
+    state = _sized_state()  # stays referenced: resident for its blob
+    frame = encode_frame(PrepareAck("q1", 1, _ROUND, state), strict=True)
+    assert len(state.wire_blob()) >= SIZED_CROSSOVER
+    assert decode_frame(frame)[0].state is state
+    for cut in range(len(frame)):
+        for decode in (decode_frame, FrameDecoder().feed):
+            outcome = _decode_or_reject(decode, frame[:cut])
+            # The stream decoder waits for the rest; the one-shot refuses.
+            assert outcome == [] or isinstance(outcome, SerializationError)
+    for bit in range(len(frame) * 8):
+        rotted = bytearray(frame)
+        rotted[bit >> 3] ^= 1 << (bit & 7)
+        for decode in (decode_frame, FrameDecoder().feed):
+            outcome = _decode_or_reject(decode, bytes(rotted))
+            # A flip in the length prefix can leave the stream decoder
+            # waiting for a longer frame; nothing else may come back.
+            assert outcome == [] or isinstance(outcome, SerializationError)
+
+
+def test_corrupt_bodies_past_the_crc_raise_only_serialization_error():
+    # What the CRC would normally stop: every truncation and every
+    # single-bit flip of the *body*, fed straight to the value decoder.
+    state = _sized_state()
+    body = encode_body(PrepareAck("q1", 1, _ROUND, state), strict=True)
+    blob = state.wire_blob()
+    blob_at = body.index(blob)
+    for cut in range(len(body)):
+        assert isinstance(
+            _decode_or_reject(decode_body, body[:cut]), SerializationError
+        )
+    for bit in range(len(body) * 8):
+        rotted = bytearray(body)
+        rotted[bit >> 3] ^= 1 << (bit & 7)
+        outcome = _decode_or_reject(decode_body, bytes(rotted))
+        if blob_at <= bit >> 3 < blob_at + len(blob):
+            # Different blob bytes: whatever they decode to, it is not
+            # the payload that is resident for the original bytes.
+            assert getattr(outcome, "state", None) is not state
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=96))
+def test_arbitrary_bytes_raise_only_serialization_error(data):
+    _decode_or_reject(decode_body, data)
+    _decode_or_reject(decode_frame, data)
+    _decode_or_reject(FrameDecoder().feed, data)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"\x0a\x01\x08\x00\x00",  # dict keyed by a list
+        b"\x09\x01\x08\x00",  # frozenset holding a list
+        b"\x05\x02\xff\xfe",  # string that is not UTF-8
+        b"\x04\x00\x00",  # float cut short
+        b"\x07\x01" * 5000 + b"\x00",  # tuples nested past the stack
+        b"\x0d\x00",  # sized blob of nothing
+        b"\x0d\x02\x03\x02",  # sized blob holding a bare int
+        b"\x0d\x03\x0b\x0d\x00",  # sized blob holding GCounterValue(), no payload
+        b"\x63",  # no such value tag
+    ],
+    ids=[
+        "unhashable-dict-key", "unhashable-set-element", "bad-utf8",
+        "short-float", "deep-nesting", "empty-sized", "sized-scalar",
+        "sized-non-payload", "unknown-tag",
+    ],
+)
+def test_malformed_values_are_serialization_errors(body):
+    with pytest.raises(SerializationError):
+        decode_body(body)
 
 
 # ----------------------------------------------------------------------
