@@ -431,6 +431,8 @@ class KeyedExplorationReport:
     #: Durability-path writes/flushes summed over all node generations.
     write_through_persists: int = 0
     group_commits: int = 0
+    #: Certifying acks those flushes released (acks per fsync = this / commits).
+    group_commit_acks: int = 0
     #: Steps refused (acks suppressed) because a persist failed.
     persist_refusals: int = 0
     #: Cross-key envelope coalescing totals (keyed_coalesce_window).
@@ -555,7 +557,7 @@ class KeyedInterleavingExplorer:
             base.batching
             or base.retry_backoff > 0
             or base.keyed_coalesce_window is not None
-            or base.durability == "group_sync"
+            or base.durability != "none"
             or keep_timeouts
         )
 
@@ -575,6 +577,7 @@ class KeyedInterleavingExplorer:
         report.rejoin_refreshes += node.rejoin_refreshes
         report.write_through_persists += node.write_through_persists
         report.group_commits += node.group_commits
+        report.group_commit_acks += node.group_commit_acks
         report.persist_refusals += node.persist_refusals
 
     def _restart(

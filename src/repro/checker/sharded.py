@@ -287,7 +287,7 @@ class ShardedMigrationExplorer:
             base.batching
             or base.retry_backoff > 0
             or base.keyed_coalesce_window is not None
-            or base.durability == "group_sync"
+            or base.durability != "none"
         )
         self.birth_table = RoutingTable(self.group_names, vnodes=vnodes)
         # Per-run state (populated by :meth:`run`).

@@ -153,17 +153,22 @@ class CrdtPaxosConfig:
         §3.3 ``(payload, round)`` pair is persisted relative to the acks
         the replica emits.  ``"none"`` (default) persists only on
         demotion/``spill_all`` — a hard kill may lose promises.
-        ``"write_through"`` persists and flushes a key's ``(payload,
-        round, learned-max)`` triple *before* any effect of the handling
-        step escapes — the log-less analogue of an acceptor fsync; every
-        ack a peer or client sees rests on durable state.
-        ``"group_sync"`` writes through but defers the flush: certifying
-        acks (MERGED / PREPARE-ACK / VOTED / the client's done messages)
-        are parked until a group-commit tick covers them, amortizing the
-        fsync across a window while keeping the same guarantee.
+        ``"write_through"`` and ``"group_sync"`` are one mechanism: a
+        key's ``(payload, round, learned-max)`` triple is ``put`` inside
+        the handling step, the step's certifying acks (MERGED /
+        PREPARE-ACK / VOTED / the client's done messages / migration
+        replies) park, and a sync tick flushes once for everything put
+        since the last tick before releasing them — the log-less
+        analogue of an acceptor's group-committed fsync; every ack a
+        peer or client sees rests on durable state.  ``write_through``
+        arms the tick at delay 0 (the end of the driver turn: the fsync
+        is the batching window, batch size follows load);
+        ``group_sync`` arms it ``durability_sync_window`` seconds out.
     ``durability_sync_window``
-        ``group_sync`` only: how many seconds acks may park before the
-        batched flush releases them.
+        The delay ``group_sync`` arms the sync tick with, i.e. how long
+        acks may park before the batched flush releases them.  Under
+        either durable mode it is also the retry cadence after a failed
+        flush.
     """
 
     batching: bool = False

@@ -91,10 +91,14 @@ Two refinements ride on the frozen-record design:
   sequence numbers already come from a node-wide counter).
 
 **Surviving kill -9.**  ``config.durability`` turns the spill store into
-the acceptor's fsync target: ``write_through`` persists a key's triple
-inside the handling step, before any ack escapes (see
-:mod:`repro.storage` for the mode semantics), and ``group_sync`` batches
-the flush behind a group-commit tick while parking the certifying acks.
+the acceptor's fsync target.  Both durable modes are one mechanism: a
+key's triple is ``put`` inside the handling step, the step's certifying
+acks park, and a sync tick — armed at delay 0 under ``write_through``
+("the end of this driver turn"), at ``durability_sync_window`` under
+``group_sync`` — flushes once for every key put since the last tick and
+then releases them, so no ack escapes before a flush that covers the
+state it attests and every message handled in one driver turn shares
+one fsync (see :mod:`repro.storage` for the mode semantics).
 A replica recovered from a store *without* those guarantees (no
 clean-shutdown marker, dead generation ran ``durability="none"``) must
 pass ``rejoin=True`` to :meth:`KeyedCrdtReplica.recover`: every stored
@@ -157,13 +161,21 @@ _COALESCE_TARGET_BATCH = 8
 #: EWMA smoothing for the per-peer enqueue-interval estimate.
 _COALESCE_EWMA_ALPHA = 0.2
 
-#: Reserved timer key for the group-commit flush (``durability="group_sync"``).
+#: Reserved timer key for the group-commit flush (the sync tick of both
+#: durable modes).
 _SYNC_TIMER = "keyspace-sync"
 
 #: Per-key timer token for re-driving an open quorum-rejoin refresh.
 #: Namespaced like proposer timers (``<repr(key)>|rejoin``); proposer
 #: timer keys are ``flush``/``retry:*``/``uto:*``/``qto:*``, so no clash.
 _REJOIN_TIMER = "rejoin"
+
+#: Proactive :meth:`KeyedCrdtReplica.rejoin` keeps at most this many key
+#: refreshes open at once (each is one PREPARE per remote peer).  Sized
+#: well under the transport's per-peer outbox so a cold start over
+#: thousands of stored keys is never shed, and small enough that the
+#: refreshing keys ride above the resident cap only briefly.
+_REJOIN_WINDOW = 32
 
 #: How far ahead of the persisted watermark the node-wide monotone
 #: counters are reserved.  Persisting every bump would double the write
@@ -176,9 +188,9 @@ _COUNTER_LEASE = 256
 #: PREPARE-ACK / VOTED) plus the client-visible completions.  The
 #: migration replies belong here too: a MIGRATE-FROZEN snapshot, an
 #: installed triple and a commit ack are promises the coordinator builds
-#: the move on, so they must rest on persisted state.  Under
-#: ``group_sync`` these park until a flush covers the state they attest;
-#: requests and nacks leak nothing a certificate can use, so they flow.
+#: the move on, so they must rest on persisted state.  Under a durable
+#: mode these park until a flush covers the state they attest; requests
+#: and nacks leak nothing a certificate can use, so they flow.
 _CERTIFYING = (
     Merged,
     PrepareAck,
@@ -254,17 +266,33 @@ class _FrozenKey:
     (observability counters restart at zero).
     """
 
-    __slots__ = ("state", "round", "learned_max")
+    __slots__ = ("state", "round", "learned_max", "stored")
 
     def __init__(
         self,
         state: StateCRDT,
         round: Any,
         learned_max: StateCRDT | None = None,
+        stored: bool = False,
     ) -> None:
         self.state = state
         self.round = round
         self.learned_max = learned_max
+        #: The spill store already holds exactly this triple (the
+        #: durable persist step wrote it), so demotion past the frozen
+        #: cap drops the RAM record without writing it again.
+        self.stored = stored
+
+
+def _stamp_covers(stamp: tuple | None, acceptor: Acceptor, learned_max: Any) -> bool:
+    """Is ``stamp`` (the last triple put for a key) exactly its current
+    triple?  Identity on the immutable payloads, equality on the round."""
+    return (
+        stamp is not None
+        and acceptor.state is stamp[0]
+        and acceptor.round == stamp[1]
+        and learned_max is stamp[2]
+    )
 
 
 class _KeyInstance:
@@ -502,7 +530,7 @@ class KeyedCrdtReplica(ProtocolNode):
         if self.config.durability != "none" and spill_store is None:
             raise ConfigurationError(
                 f"durability={self.config.durability!r} requires a spill_store "
-                "(write-through persistence must have somewhere to write)"
+                "(persist-before-ack must have somewhere to write)"
             )
         self._spill_store = spill_store
         self._durability = self.config.durability
@@ -558,18 +586,26 @@ class KeyedCrdtReplica(ProtocolNode):
         #: the whole resident set.  Entries whose key was re-touched are
         #: stale (the instance's touch_seq moved on) and discarded on pop.
         self._evict_heap: list[tuple[int, Hashable]] = []
-        #: Write-through durability stamps, kept beside the instances
+        #: Durability stamps, kept beside the instances
         #: rather than on them: the last (payload, round, learned-max)
         #: triple persisted per key, so the per-step persist hook is a
         #: no-op when the step changed nothing.  A side table because
         #: only durable builds pay for it — the flyweight density rail
         #: covers ``durability="none"``, where this stays empty.
         self._durable_stamps: dict[Hashable, tuple] = {}
-        #: Group commit (``durability="group_sync"``): certifying acks
-        #: wait here until a flush covers the state they attest.
+        #: Group commit (both durable modes): certifying acks wait here
+        #: until a flush covers the state they attest.  The sync tick is
+        #: armed at delay 0 under ``write_through`` — "the end of this
+        #: driver turn", so the fsync itself is the batching window —
+        #: and at ``durability_sync_window`` under ``group_sync``.
         self._sync_parked: list[tuple[str, Keyed]] = []
         self._sync_dirty = False
         self._sync_armed = False
+        self._sync_delay = (
+            self.config.durability_sync_window
+            if self._durability == "group_sync"
+            else 0.0
+        )
         #: Durable-generation bookkeeping: bumped on every recover and
         #: stamped into spill meta, so artifacts of a dead generation
         #: (rejoin request ids, stale stores) are distinguishable.
@@ -580,6 +616,9 @@ class KeyedCrdtReplica(ProtocolNode):
         #: must refresh their pair from a read quorum before first use.
         self._rejoin_pending: set[Hashable] = set()
         self._rejoin_active: dict[Hashable, _RejoinState] = {}
+        #: Pending keys a proactive :meth:`rejoin` has yet to open, in
+        #: opening order (popped from the end); empty unless one runs.
+        self._rejoin_queue: list[Hashable] = []
         self._rejoin_seq = 0
         #: Sharding observability: client commands refused with a
         #: forwarding WrongGroup, and migrations committed out of / into
@@ -593,15 +632,20 @@ class KeyedCrdtReplica(ProtocolNode):
         #: Heap pops performed by eviction/sweep passes — the O(evicted)
         #: bound on sweep work is asserted against this.
         self.evict_scan_ops = 0
-        #: Spill-tier observability: records written to / loaded from the
-        #: spill store (spill_loads also count toward rehydrations).
+        #: Spill-tier observability: records demoted to / loaded from the
+        #: spill store (spill_loads also count toward rehydrations).  A
+        #: demotion whose triple a durable persist already wrote counts
+        #: as a spill but costs no second put.
         self.spills = 0
         self.spill_loads = 0
-        #: Durability observability: in-step persists of a key's triple,
-        #: batched flushes that released parked acks, and per-key quorum
-        #: refreshes completed by a rejoining replica.
+        #: Durability observability: in-step persists (puts) of a key's
+        #: triple, sync-tick flushes that covered them, the certifying
+        #: acks those flushes released (persists / commits = steps per
+        #: fsync), and per-key quorum refreshes completed by a rejoining
+        #: replica.
         self.write_through_persists = 0
         self.group_commits = 0
+        self.group_commit_acks = 0
         self.rejoin_refreshes = 0
         #: Handling steps whose persist failed: certifying acks were
         #: suppressed and client completions answered with
@@ -689,7 +733,7 @@ class KeyedCrdtReplica(ProtocolNode):
             # This generation is live (and may itself die hard): persist
             # the bumped epoch and an opened-dirty marker up front.
             replica._write_meta(clean=False)
-            if replica._durability == "write_through":
+            if replica._durability != "none":
                 spill_store.flush()
         return replica
 
@@ -753,7 +797,9 @@ class KeyedCrdtReplica(ProtocolNode):
             # record, so rehydration is the same code path.
             record = self._spill_store.get(key)
             if record is not None:
-                frozen = _FrozenKey(record.state, record.round, record.learned_max)
+                frozen = _FrozenKey(
+                    record.state, record.round, record.learned_max, stored=True
+                )
                 self.spill_loads += 1
         if frozen is not None:
             acceptor = Acceptor(frozen.state, round=frozen.round, stats=stats)
@@ -763,11 +809,12 @@ class KeyedCrdtReplica(ProtocolNode):
         inst = _KeyInstance(acceptor)
         if frozen is not None:
             inst.learned_max = frozen.learned_max
-        # The admitted snapshot counts as durable: a thawed/loaded triple
-        # equals the last persisted one (the write-through hook persists
-        # every mutating step, so demotion never outruns the store), and
-        # a fresh bottom is reconstructible from initial_state_for alone.
-        if self._durability != "none":
+        # The admitted snapshot counts as durable when the store holds
+        # it (a loaded triple, or a thawed one whose last persist
+        # landed) or when it is a fresh bottom, reconstructible from
+        # initial_state_for alone.  A thawed record whose last persist
+        # failed gets no stamp: its next step re-puts the full triple.
+        if self._durability != "none" and (frozen is None or frozen.stored):
             self._durable_stamps[key] = (
                 acceptor.state,
                 acceptor.round,
@@ -868,11 +915,15 @@ class KeyedCrdtReplica(ProtocolNode):
         learned_max = (
             proposer.learned_max if proposer is not None else inst.learned_max
         )
+        acceptor = inst.acceptor
+        stamp = self._durable_stamps.pop(key, None)
         self._frozen[key] = _FrozenKey(
-            inst.acceptor.state, inst.acceptor.round, learned_max
+            acceptor.state,
+            acceptor.round,
+            learned_max,
+            stored=_stamp_covers(stamp, acceptor, learned_max),
         )
         del self._resident[key]
-        self._durable_stamps.pop(key, None)
         namespace = repr(key)
         if self._namespaces.get(namespace) == key:
             del self._namespaces[namespace]
@@ -924,17 +975,19 @@ class KeyedCrdtReplica(ProtocolNode):
         overflow = len(self._frozen) - cap
         for key in list(self._frozen)[:overflow]:
             frozen = self._frozen.pop(key)
-            try:
-                store.put(
-                    key, SpillRecord(frozen.state, frozen.round, frozen.learned_max)
-                )
-            except (StorageUnavailable, OSError):
-                # Disk brownout: keep the record in RAM (the frozen cap
-                # is soft, like the resident one) and stop demoting —
-                # the store is sick, later pressure retries.
-                self._frozen[key] = frozen
-                self.persist_refusals += 1
-                return
+            if not frozen.stored:
+                try:
+                    store.put(
+                        key,
+                        SpillRecord(frozen.state, frozen.round, frozen.learned_max),
+                    )
+                except (StorageUnavailable, OSError):
+                    # Disk brownout: keep the record in RAM (the frozen
+                    # cap is soft, like the resident one) and stop
+                    # demoting — the store is sick, later pressure retries.
+                    self._frozen[key] = frozen
+                    self.persist_refusals += 1
+                    return
             self.spills += 1
 
     def spill_all(self) -> Effects:
@@ -1065,9 +1118,9 @@ class KeyedCrdtReplica(ProtocolNode):
             self._coalesce_armed = True
             effects.set_timer(_COALESCE_TIMER, self.config.keyed_coalesce_window or 0.001)
         self._sync_armed = False
-        if self._durability == "group_sync" and (self._sync_dirty or self._sync_parked):
+        if self._sync_dirty or self._sync_parked:
             self._sync_armed = True
-            effects.set_timer(_SYNC_TIMER, self.config.durability_sync_window)
+            effects.set_timer(_SYNC_TIMER, self._sync_delay)
         return effects
 
     def on_message(self, src: str, message: Any, now: float) -> Effects:
@@ -1092,19 +1145,24 @@ class KeyedCrdtReplica(ProtocolNode):
                 return gated
         instance = self.instance(key, now)
 
-        if self._rejoin_pending and key in self._rejoin_pending:
+        rejoining = self._rejoin_pending and key in self._rejoin_pending
+        if rejoining:
             effects = self._rejoin_gate(key, instance, src, inner, now)
         elif isinstance(inner, (ClientUpdate, ClientQuery)):
             effects = self._handle_client(key, instance, src, inner, now)
         else:
             effects = self._on_peer_message(instance, src, inner, now)
-        # Persist-before-ack: the handling step's effects have not left
-        # this method yet (sans-io — the driver executes them after we
-        # return), so writing the key's triple here is the log-less
-        # analogue of an acceptor fsyncing before its reply escapes.
+        # Persist-before-ack: the key's triple is put here, and _wrap
+        # parks the step's certifying acks until the sync tick's flush
+        # covers it — the log-less analogue of an acceptor fsyncing
+        # before its reply escapes, one fsync per driver turn.
         if not self._persist_step(key, instance):
             effects = self._suppress_unpersisted(effects)
         wrapped = self._wrap(key, effects)
+        if rejoining and self._rejoin_queue:
+            # A refresh may just have completed: keep the proactive
+            # rejoin's window full.
+            self._rejoin_fill(wrapped)
         self._evict_excess()
         return wrapped
 
@@ -1398,8 +1456,9 @@ class KeyedCrdtReplica(ProtocolNode):
     def _persist_marks(self) -> bool:
         """Persist the ownership marks before a migration reply escapes.
 
-        Same discipline as :meth:`_persist_step`, for the meta record:
-        a frozen mark that failed to reach the store must suppress the
+        Same discipline as :meth:`_persist_step`, for the meta record
+        (put here, flushed by the sync tick the reply parks behind): a
+        frozen mark that failed to reach the store must suppress the
         MIGRATE-FROZEN reply — otherwise a hard-killed source replica
         could recover unfrozen and ack an update the coordinator's
         snapshot never saw.  Under ``durability="none"`` nothing durable
@@ -1410,9 +1469,7 @@ class KeyedCrdtReplica(ProtocolNode):
             return True
         try:
             self._write_meta(clean=False)
-            if self._durability == "write_through":
-                self._spill_store.flush()
-            elif self._durability == "group_sync":
+            if self._durability != "none":
                 self._sync_dirty = True
         except (StorageUnavailable, OSError):
             self.persist_refusals += 1
@@ -1488,14 +1545,13 @@ class KeyedCrdtReplica(ProtocolNode):
         """
         wrapped = Effects()
         coalesce = self.config.keyed_coalesce_window
-        group_sync = self._durability == "group_sync"
         shared: dict[int, Keyed] = {}
         for dst, message in effects.sends:
             keyed = shared.get(id(message))
             if keyed is None:
                 keyed = Keyed(key=key, message=message)
                 shared[id(message)] = keyed
-            if group_sync and self._sync_dirty and isinstance(message, _CERTIFYING):
+            if self._sync_dirty and isinstance(message, _CERTIFYING):
                 # Group commit: this ack attests state the store has not
                 # flushed yet — park it until the sync tick fsyncs.  Any
                 # key's dirtiness holds the window (the unflushed batch
@@ -1546,13 +1602,9 @@ class KeyedCrdtReplica(ProtocolNode):
             wrapped.set_timer(f"{key!r}|{timer_key}", delay)
         for timer_key in effects.cancels:
             wrapped.cancel_timer(f"{key!r}|{timer_key}")
-        if (
-            group_sync
-            and not self._sync_armed
-            and (self._sync_dirty or self._sync_parked)
-        ):
+        if not self._sync_armed and (self._sync_dirty or self._sync_parked):
             self._sync_armed = True
-            wrapped.set_timer(_SYNC_TIMER, self.config.durability_sync_window)
+            wrapped.set_timer(_SYNC_TIMER, self._sync_delay)
         return wrapped
 
     def _coalesce_delay(self, dst: str) -> float:
@@ -1632,21 +1684,21 @@ class KeyedCrdtReplica(ProtocolNode):
         return effects
 
     # ------------------------------------------------------------------
-    # Write-through durability
+    # Durability: put in-step, park the acks, flush on the sync tick
     # ------------------------------------------------------------------
     def _persist_step(self, key: Hashable, inst: _KeyInstance) -> bool:
-        """Persist the key's triple after a handling step, before its
+        """Put the key's triple after a handling step, before its
         effects escape (called between the handler and :meth:`_wrap`).
 
-        ``write_through`` flushes immediately; ``group_sync`` leaves the
-        put unflushed and marks the window dirty, which makes
-        :meth:`_wrap` park the step's certifying acks until the
-        group-commit tick.  The node-wide monotone counters ride along
+        The put is left unflushed and the window marked dirty, which
+        makes :meth:`_wrap` park the step's certifying acks and arm the
+        sync tick (:meth:`_sync_commit`) — there is no flush here, under
+        either durable mode.  The node-wide monotone counters ride along
         via leased meta snapshots (:meth:`_lease_counters`), so a learn
         sequence number in an escaped QUERY-DONE can never be reissued
         by the next generation.
 
-        Returns False when the persist (put or flush) *failed*: the
+        Returns False when the put *failed*: the
         durable stamp is dropped — the next step re-persists from scratch
         once the store heals — and the caller must run the step's effects
         through :meth:`_suppress_unpersisted` so no ack escapes resting
@@ -1672,11 +1724,8 @@ class KeyedCrdtReplica(ProtocolNode):
         learned_max = (
             proposer.learned_max if proposer is not None else inst.learned_max
         )
-        stamp = self._durable_stamps.get(key)
-        dirty = stamp is None or not (
-            acceptor.state is stamp[0]
-            and acceptor.round == stamp[1]
-            and learned_max is stamp[2]
+        dirty = not _stamp_covers(
+            self._durable_stamps.get(key), acceptor, learned_max
         )
         try:
             if dirty:
@@ -1690,18 +1739,13 @@ class KeyedCrdtReplica(ProtocolNode):
                 )
                 self.write_through_persists += 1
             leased = self._lease_counters()
-            if not (dirty or leased):
-                return True
-            if self._durability == "write_through":
-                store.flush()
-            else:
+            if dirty or leased:
                 self._sync_dirty = True
             return True
         except (StorageUnavailable, OSError):
-            # The put may have half-landed or the flush may have been
-            # lost; either way nothing durable is certain past the last
-            # *successful* flush.  Dropping the stamp forces the next
-            # step on this key to re-put and re-flush the full triple.
+            # The put may have half-landed; nothing of it can be relied
+            # on.  Dropping the stamp forces the next step on this key
+            # to re-put the full triple.
             self._durable_stamps.pop(key, None)
             self.persist_refusals += 1
             return False
@@ -1785,8 +1829,9 @@ class KeyedCrdtReplica(ProtocolNode):
         self._dirty_marked = not clean
 
     def _sync_commit(self) -> Effects:
-        """Group-commit tick: one flush covers the window, then every
-        parked certifying ack is released (it now attests durable state).
+        """Sync tick: one flush covers everything put since the last
+        tick — every key, every inbound connection — then every parked
+        certifying ack is released (it now attests durable state).
 
         A failed flush releases *nothing*: the parked acks stay parked
         and the tick re-arms — the replica keeps retrying on the sync
@@ -1800,12 +1845,16 @@ class KeyedCrdtReplica(ProtocolNode):
                 self._spill_store.flush()
             except (StorageUnavailable, OSError):
                 self.persist_refusals += 1
+                # Retry on the sync-window cadence in both modes: a
+                # zero-delay re-arm against a sick disk would spin the
+                # driver without ever letting time (and the heal) pass.
                 self._sync_armed = True
                 effects.set_timer(_SYNC_TIMER, self.config.durability_sync_window)
                 return effects
             self._sync_dirty = False
             self.group_commits += 1
         parked, self._sync_parked = self._sync_parked, []
+        self.group_commit_acks += len(parked)
         for dst, keyed in parked:
             effects.send(dst, keyed)
         return effects
@@ -1826,24 +1875,37 @@ class KeyedCrdtReplica(ProtocolNode):
         return len(self._rejoin_pending)
 
     def rejoin(self) -> Effects:
-        """Proactively start the read-quorum refresh for every pending key.
+        """Proactively start the read-quorum refresh of every pending key.
 
         Recovery with ``rejoin=True`` marks each stored key pending and
         refreshes lazily on first touch; this hook (surfaced as the api
-        ``Store.rejoin()``) instead opens all refreshes at once so a
-        rejoining replica converges while idle.  Returns the broadcast
-        effects the driver must execute.
+        ``Store.rejoin()``) instead works through all of them so a
+        rejoining replica converges while idle.  It paces itself: at
+        most :data:`_REJOIN_WINDOW` refreshes are open at once, and each
+        one that completes opens the next (:meth:`on_message`), so
+        neither the resident cap nor the transport's outbox is overrun
+        however many keys the store holds.  Returns the first window's
+        broadcast effects, which the driver must execute.
         """
+        self._rejoin_queue = [
+            key for key in self._rejoin_pending if key not in self._rejoin_active
+        ]
         effects = Effects()
-        for key in list(self._rejoin_pending):
-            if key in self._rejoin_active:
-                continue
-            instance = self.instance(key)
-            opened = Effects()
-            self._start_rejoin(key, instance, opened)
-            effects.merge(self._wrap(key, opened))
+        self._rejoin_fill(effects)
         self._evict_excess()
         return effects
+
+    def _rejoin_fill(self, effects: Effects) -> None:
+        """Open queued refreshes until the window is full; their wrapped
+        broadcasts are appended to ``effects``."""
+        queue = self._rejoin_queue
+        while queue and len(self._rejoin_active) < _REJOIN_WINDOW:
+            key = queue.pop()
+            if key not in self._rejoin_pending or key in self._rejoin_active:
+                continue  # refreshed (or opened) by traffic meanwhile
+            opened = Effects()
+            self._start_rejoin(key, self.instance(key), opened)
+            effects.merge(self._wrap(key, opened))
 
     def _rejoin_gate(
         self, key: Hashable, inst: _KeyInstance, src: str, inner: Any, now: float

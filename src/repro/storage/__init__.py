@@ -20,25 +20,33 @@ writes to its spill store relative to the acks it emits:
     without a clean-shutdown marker unless ``rejoin=True`` refreshes
     each key from a read quorum (a §3.3 prepare) before first use.
 
-``"write_through"``
-    The log-less analogue of an acceptor fsync: after every handling
-    step that changed a key's ``(payload, round, learned-max)`` triple,
-    the triple is ``put`` and the store flushed *before* the step's
-    effects (the MERGED / PREPARE-ACK / VOTED acks, the client's done
-    messages) escape the replica.  Any promise a peer has seen is
-    durable, so recovery is sound without a rejoin.
+``"write_through"`` and ``"group_sync"``
+    One mechanism, two delays.  After every handling step that changed a
+    key's ``(payload, round, learned-max)`` triple the triple is ``put``
+    in-step, the step's *certifying* effects (the MERGED / PREPARE-ACK /
+    VOTED acks, the client's done messages, the migration replies) are
+    parked, and a sync tick is armed; the tick runs one ``flush()`` — a
+    group commit over every key and every connection that put since the
+    last one — and only then releases the parked acks.  The §3.3 rule is
+    "the pair is durable before the ack that attests it escapes", not
+    "one fsync per message": any promise a peer or client has seen rests
+    on flushed state, so recovery is sound without a rejoin.
+    Non-certifying traffic (requests, nacks) is never parked — a learn
+    certificate can only rest on ack-type messages, so leaking unflushed
+    state via a nack is safe.  A failed flush releases nothing and the
+    tick re-arms; a failed ``put`` refuses the step's acks outright.
 
-``"group_sync"``
-    Write-through with an amortized fsync: puts still happen in-step,
-    but the flush is deferred to a group-commit tick
-    (``durability_sync_window`` seconds) and the *certifying* acks park
-    until the tick covers them.  Non-certifying traffic (requests,
-    nacks) flows immediately — a learn certificate can only rest on
-    ack-type messages, so leaking unflushed state via a nack is safe.
+    The modes differ only in the delay the tick is armed with.
+    ``write_through`` arms it at **0** — "the end of this driver turn" —
+    so the fsync itself is the batching window: messages that arrive
+    while one flush blocks queue in the socket buffers and share the
+    next, and batch size follows load with nothing to tune.
+    ``group_sync`` arms it at ``durability_sync_window`` seconds, trading
+    that much ack latency for fewer, larger commits.
 
 :class:`VolatileSpillStore` models the volatile-cache half of a real
 disk for crash campaigns: it buffers writes until ``flush()`` and its
-``crash()`` drops the buffer, so a hard kill under ``group_sync``
+``crash()`` drops the buffer, so a hard kill under either durable mode
 genuinely loses whatever the group commit had not yet covered.
 Reopening a :class:`SegmentedSpillStore` directory instead models a
 *process* kill (the OS page cache survives).
@@ -46,8 +54,9 @@ Reopening a :class:`SegmentedSpillStore` directory instead models a
 :class:`FaultySpillStore` injects put/fsync failures and torn partial
 writes into any of the above (raising
 :class:`~repro.errors.StorageUnavailable`), for nemesis campaigns that
-check the persist-before-ack contract: a ``write_through`` replica whose
-persist fails must refuse the step's acks, never emit them.
+check the persist-before-ack contract: a durable replica whose persist
+fails must refuse (put) or keep parked (flush) the step's acks, never
+emit them.
 """
 
 from repro.storage.base import SpillRecord, SpillStore

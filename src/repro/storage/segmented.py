@@ -248,14 +248,25 @@ class SegmentedSpillStore(SpillStore):
         self._segments.setdefault(self._active_id, _Segment(path))
         self._active_file = open(path, "ab")
 
+    def _seal_active(self) -> None:
+        """Close the active segment for good and open the next one.
+
+        The sealed file is fsynced first: :meth:`flush` only ever syncs
+        the *active* segment, so frames appended since the last flush
+        would otherwise ride into a file no later flush covers — and a
+        group commit's batch routinely straddles a rotation.
+        """
+        self.flush()
+        self._active_file.close()
+        cached = self._read_handles.pop(self._active_id, None)
+        if cached is not None:
+            cached.close()
+        self._active_id += 1
+        self._open_active()
+
     def _rotate_if_needed(self) -> None:
         if self._segments[self._active_id].size >= self.segment_bytes:
-            self._active_file.close()
-            cached = self._read_handles.pop(self._active_id, None)
-            if cached is not None:
-                cached.close()
-            self._active_id += 1
-            self._open_active()
+            self._seal_active()
 
     def _append(self, kind: bytes, body: bytes) -> tuple[int, int, int]:
         """Append one frame to the active segment; returns its address."""
@@ -388,12 +399,7 @@ class SegmentedSpillStore(SpillStore):
             # become reclaimable, then pick it up as the victim.
             if self._segments[self._active_id].size == 0:
                 return False
-            self._active_file.close()
-            cached = self._read_handles.pop(self._active_id, None)
-            if cached is not None:
-                cached.close()
-            self._active_id += 1
-            self._open_active()
+            self._seal_active()
             sealed = [sid for sid in self._segments if sid != self._active_id]
         victim_id = min(sealed)
         self._compact_victim = victim_id

@@ -38,6 +38,9 @@ class VolatileSpillStore(SpillStore):
         self.puts = 0
         self.flushes = 0
         self.crashes = 0
+        #: Buffered writes a crash discarded — non-zero means a kill
+        #: landed between a put and the flush that would have covered it.
+        self.dropped_writes = 0
 
     # ------------------------------------------------------------------
     def put(self, key: Hashable, record: SpillRecord) -> None:
@@ -110,6 +113,7 @@ class VolatileSpillStore(SpillStore):
 
     def crash(self) -> None:
         """Drop everything not yet flushed — the power-loss event."""
+        self.dropped_writes += self.pending_writes()
         self._buffer.clear()
         self._meta_buffer = None
         self.crashes += 1

@@ -387,6 +387,7 @@ def run_workload(
                 ),
                 "write_through_persists": node.write_through_persists,
                 "group_commits": node.group_commits,
+                "group_commit_acks": node.group_commit_acks,
                 "rejoin_refreshes": node.rejoin_refreshes,
                 "evict_scan_ops": node.evict_scan_ops,
             }

@@ -1,8 +1,8 @@
 """Adversarial kill -9 campaigns: no shutdown hook, only durability.
 
 Unlike the restart campaigns (``spill_all`` runs before the kill), here
-the victim gets *nothing*: mid-traffic — possibly mid-compaction, with a
-write-through flush or a group-commit window open — the process dies.
+the victim gets *nothing*: mid-traffic — possibly mid-compaction, with
+puts the sync tick has not flushed yet — the process dies.
 Only what the durability policy already persisted survives, the store
 itself crashes too (a SegmentedSpillStore directory is reopened the way
 a fresh process would; a VolatileSpillStore drops its unflushed buffer,
@@ -129,30 +129,25 @@ def test_hard_kill_gla_stability_campaign(
 
 
 # ----------------------------------------------------------------------
-# Campaign B: group_sync + volatile buffer (power loss between fsyncs)
+# Campaign B: both durable modes + volatile buffer (power loss between
+# fsyncs).  The modes are one mechanism with two sync-tick delays, and
+# the adversary fires the tick whenever it likes, so under either the
+# kill can land between a put and the flush that would have covered it.
 # ----------------------------------------------------------------------
-@_SETTINGS
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_ops=st.integers(15, 45),
-    read_fraction=st.floats(0.2, 0.8),
-    kill_at=st.integers(3, 25),
-)
-def test_hard_kill_group_sync_power_loss_campaign(
-    seed, n_ops, read_fraction, kill_at
-):
-    """The kill drops whatever the group commit had not flushed — safe,
-    because the acks certifying that state were parked behind the same
-    flush and died with the process, unseen."""
+def _power_loss_config(durability):
+    return CrdtPaxosConfig(
+        keyed_max_resident=2,
+        keyed_max_frozen=1,
+        durability=durability,
+        durability_sync_window=0.002,
+    )
+
+
+def _power_loss_campaign(durability, seed, n_ops, read_fraction, kill_at):
     explorer = KeyedInterleavingExplorer(
         seed=seed,
         n_keys=4,
-        config=CrdtPaxosConfig(
-            keyed_max_resident=2,
-            keyed_max_frozen=1,
-            durability="group_sync",
-            durability_sync_window=0.002,
-        ),
+        config=_power_loss_config(durability),
         spill_factory=_volatile_factory,
     )
     report = explorer.run(
@@ -165,25 +160,52 @@ def test_hard_kill_group_sync_power_loss_campaign(
         check_all(history)
 
 
+_POWER_LOSS_GIVEN = given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ops=st.integers(15, 45),
+    read_fraction=st.floats(0.2, 0.8),
+    kill_at=st.integers(3, 25),
+)
+
+
+@_SETTINGS
+@_POWER_LOSS_GIVEN
+def test_hard_kill_group_sync_power_loss_campaign(
+    seed, n_ops, read_fraction, kill_at
+):
+    """The kill drops whatever the group commit had not flushed — safe,
+    because the acks certifying that state were parked behind the same
+    flush and died with the process, unseen."""
+    _power_loss_campaign("group_sync", seed, n_ops, read_fraction, kill_at)
+
+
+@_SETTINGS
+@_POWER_LOSS_GIVEN
+def test_hard_kill_write_through_power_loss_campaign(
+    seed, n_ops, read_fraction, kill_at
+):
+    """The same power loss under ``write_through``: its acks park behind
+    the zero-delay tick's flush exactly like ``group_sync``'s do."""
+    _power_loss_campaign("write_through", seed, n_ops, read_fraction, kill_at)
+
+
 @_SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_ops=st.integers(15, 35),
     duplicate=st.floats(0.0, 0.2),
+    durability=st.sampled_from(("group_sync", "write_through")),
 )
-def test_hard_kill_with_duplicating_network_campaign(seed, n_ops, duplicate):
+def test_hard_kill_with_duplicating_network_campaign(
+    seed, n_ops, duplicate, durability
+):
     """Stale duplicates from before the kill arrive at the rejoined
     generation; leased counters (never reused across the kill) and the
     rejoin gate must keep them harmless."""
     explorer = KeyedInterleavingExplorer(
         seed=seed,
         n_keys=4,
-        config=CrdtPaxosConfig(
-            keyed_max_resident=2,
-            keyed_max_frozen=1,
-            durability="group_sync",
-            durability_sync_window=0.002,
-        ),
+        config=_power_loss_config(durability),
         spill_factory=_volatile_factory,
     )
     report = explorer.run(
@@ -235,20 +257,13 @@ def test_hard_kill_write_through_is_exercised(tmp_path):
     assert steps > compactions
 
 
-def test_hard_kill_group_sync_is_exercised():
-    """Vacuity guard for campaign B: group commits actually batch (more
-    persists than flushes) and the volatile stores actually crash."""
-    kills = rejoins = persists = commits = crashes = 0
+def _power_loss_is_exercised(durability):
+    kills = rejoins = persists = commits = acks = crashes = dropped = 0
     for seed in range(15):
         explorer = KeyedInterleavingExplorer(
             seed=seed,
             n_keys=4,
-            config=CrdtPaxosConfig(
-                keyed_max_resident=2,
-                keyed_max_frozen=1,
-                durability="group_sync",
-                durability_sync_window=0.002,
-            ),
+            config=_power_loss_config(durability),
             spill_factory=_volatile_factory,
         )
         report = explorer.run(n_ops=40, read_fraction=0.4, hard_kill_at_injection=12)
@@ -256,14 +271,29 @@ def test_hard_kill_group_sync_is_exercised():
         rejoins += report.rejoin_refreshes
         persists += report.write_through_persists
         commits += report.group_commits
-        crashes += sum(
-            store.crashes for store in explorer.spill_stores.values()
-        )
+        acks += report.group_commit_acks
+        for store in explorer.spill_stores.values():
+            crashes += store.crashes
+            dropped += store.dropped_writes
     assert kills == 15
     assert rejoins > 0
     assert persists > 0
     assert 0 < commits < persists  # batching: many persists per fsync
+    assert acks > 0  # the flushes really released parked acks
     assert crashes == 15  # exactly the killed replica's buffer dropped
+    # Kills really landed between a put and its covering flush.
+    assert dropped > 0
+
+
+def test_hard_kill_group_sync_is_exercised():
+    """Vacuity guard for campaign B: group commits actually batch (more
+    persists than flushes), the volatile stores actually crash, and some
+    crashes actually discard unflushed writes."""
+    _power_loss_is_exercised("group_sync")
+
+
+def test_hard_kill_write_through_power_loss_is_exercised():
+    _power_loss_is_exercised("write_through")
 
 
 def test_hard_kill_requires_spill_factory():

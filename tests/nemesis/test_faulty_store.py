@@ -1,20 +1,26 @@
 """FaultySpillStore: injected IO faults and the persist-before-ack bar.
 
 The satellite contract under test: a failed ``write_through`` persist
-must never let the acceptor's ack escape — the replica refuses the step
+must never let the acceptor's ack escape — a failed put refuses the step
 gracefully (``Refused(code="storage")`` to clients, silence to peers)
-instead of crashing or, worse, acking — and service resumes by itself
-once the IO faults clear, with no operator intervention.
+instead of crashing or, worse, acking; a failed flush keeps the acks
+parked — and service resumes by itself once the IO faults clear, with no
+operator intervention.
 """
 
 import pytest
 
 from repro.core.config import CrdtPaxosConfig
-from repro.core.keyspace import Keyed, KeyedCrdtReplica
+from repro.core.keyspace import _SYNC_TIMER, Keyed, KeyedCrdtReplica
 from repro.core.messages import ClientUpdate, Merged, Refused, UpdateDone
 from repro.crdt.gcounter import GCounter, Increment
 from repro.errors import StorageUnavailable
-from repro.storage import FaultySpillStore, InMemorySpillStore, SpillRecord
+from repro.storage import (
+    FaultySpillStore,
+    InMemorySpillStore,
+    SpillRecord,
+    VolatileSpillStore,
+)
 
 
 def _record(value: int = 1) -> SpillRecord:
@@ -140,22 +146,28 @@ class TestPersistBeforeAckUnderFaults:
 
     def test_service_resumes_once_io_heals(self):
         """Satellite: the refusal is retryable — after ``heal_io`` the
-        client's retried update persists, acks, and the dropped durable
-        stamp forces the *full* triple to land (covering the refused
-        step's RAM-only change too).  Updates are at-least-once under
-        retry, exactly like the Store's fail-over."""
-        store = FaultySpillStore(InMemorySpillStore())
+        client's retried update persists and the dropped durable stamp
+        forces the *full* triple to land (covering the refused step's
+        RAM-only change too); the ack is absent from the handler's
+        effects and arrives with the sync tick, after the flush.
+        Updates are at-least-once under retry, exactly like the Store's
+        fail-over."""
+        store = FaultySpillStore(VolatileSpillStore(InMemorySpillStore()))
+        disk = store.delegate.delegate
         replica = _write_through_replica(store)
         store.break_io()
         _update(replica, "u1", amount=5)
         store.heal_io()
         effects = _update(replica, "u2", amount=5)  # client retry
         payloads = [m.message for _, m in effects.sends]
-        assert any(isinstance(m, UpdateDone) for m in payloads)
-        assert not any(isinstance(m, Refused) for m in payloads)
-        # The retried step re-put and re-flushed the whole triple — the
-        # refused step's RAM-only merge included (10 = both increments).
-        assert store.get("k").state.value() == replica.state_of("k").value() == 10
+        assert not any(isinstance(m, (UpdateDone, Refused)) for m in payloads)
+        assert (_SYNC_TIMER, 0.0) in effects.timers
+        assert disk.get("k") is None  # put, not yet flushed
+        released = replica.on_timer(_SYNC_TIMER, 0.0)
+        assert any(isinstance(m.message, UpdateDone) for _, m in released.sends)
+        # The retried step re-put the whole triple and the tick flushed
+        # it — the refused step's RAM-only merge included (10 = both).
+        assert disk.get("k").state.value() == replica.state_of("k").value() == 10
         recovered = KeyedCrdtReplica.recover(
             store,
             "r0",
@@ -165,3 +177,24 @@ class TestPersistBeforeAckUnderFaults:
             rejoin=True,
         )
         assert recovered.state_of("k").value() == 10
+
+    def test_failed_flush_releases_nothing_and_rearms(self):
+        """The put lands but the tick's fsync fails: the parked ack stays
+        parked, the tick re-arms on the sync-window cadence (not at
+        delay 0 — a sick disk must not spin the driver), and the first
+        flush that succeeds after the heal releases it."""
+        store = FaultySpillStore(VolatileSpillStore(InMemorySpillStore()))
+        disk = store.delegate.delegate
+        replica = _write_through_replica(store)
+        _update(replica, "u1", amount=5)
+        store.flush_failure_probability = 1.0
+        failed = replica.on_timer(_SYNC_TIMER, 0.0)
+        assert failed.sends == []
+        assert failed.timers == [(_SYNC_TIMER, replica.config.durability_sync_window)]
+        assert replica.persist_refusals == 1 and replica.group_commits == 0
+        assert disk.get("k") is None
+        store.flush_failure_probability = 0.0
+        released = replica.on_timer(_SYNC_TIMER, 0.002)
+        assert any(isinstance(m.message, UpdateDone) for _, m in released.sends)
+        assert disk.get("k").state.value() == 5
+        assert (replica.group_commits, replica.group_commit_acks) == (1, 1)

@@ -2,9 +2,12 @@
 file backend's durability edges (rotation, compaction, reopen,
 torn-tail tolerance, corruption rejection)."""
 
+import os
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.rounds import Round
 from repro.crdt.gcounter import GCounter
@@ -217,6 +220,163 @@ class TestSegmented:
         assert store.compactions > 0
         assert store.total_bytes() < 500 * 512  # old frames reclaimed
         assert store.get_meta()["batch_counter"] == 499
+        store.close()
+
+
+# ----------------------------------------------------------------------
+# Media faults a process kill cannot produce (the page cache survives
+# SIGKILL): power loss cuts or garbles whatever was not yet fsynced.
+# ----------------------------------------------------------------------
+_MEDIA_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 5), st.integers(1, 10**6)),
+        st.tuples(st.just("delete"), st.integers(0, 5), st.just(0)),
+        st.tuples(st.just("meta"), st.just(0), st.integers(0, 10**6)),
+        st.tuples(st.just("flush"), st.just(0), st.just(0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+_MEDIA_SETTINGS = settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _write_with_flush_points(directory, ops):
+    """Apply ``ops`` to a fresh store; returns ``(segment path, frames,
+    flushed)``: every frame as ``(kind, key, value, end offset)`` in
+    write order and the segment size the last ``flush()`` covered."""
+    store = SegmentedSpillStore(directory)
+    frames, flushed = [], 0
+    for kind, key, value in ops:
+        if kind == "flush":
+            store.flush()
+            flushed = store._segments[store._active_id].size
+            continue
+        if kind == "put":
+            store.put(f"k{key}", record(value))
+        elif kind == "delete":
+            if not store.delete(f"k{key}"):
+                continue  # no record, no tombstone frame
+        else:
+            store.put_meta({"n": value})
+        frames.append((kind, f"k{key}", value, store._segments[store._active_id].size))
+    store.close()
+    segments = sorted(pathlib.Path(directory).glob("seg-*.spill"))
+    assert len(segments) == 1  # small enough never to rotate
+    return segments[0], frames, flushed
+
+
+def _replay(frames, upto):
+    """What a store holding exactly the frames ending at or before
+    ``upto`` must serve: ``(records, meta)``, last frame wins."""
+    records, meta = {}, None
+    for kind, key, value, end in frames:
+        if end > upto:
+            break
+        if kind == "put":
+            records[key] = value
+        elif kind == "delete":
+            records.pop(key, None)
+        else:
+            meta = {"n": value}
+    return records, meta
+
+
+def _damage(segment, damage, position):
+    data = bytearray(segment.read_bytes())
+    if damage == "truncate":
+        del data[position:]
+    else:
+        data[position] ^= 0xFF
+    segment.write_bytes(bytes(data))
+    return len(data)
+
+
+class TestMediaFaults:
+    @_MEDIA_SETTINGS
+    @given(
+        ops=_MEDIA_OPS,
+        damage=st.sampled_from(("truncate", "flip")),
+        where=st.floats(0.0, 1.0),
+    )
+    def test_unflushed_tail_damage_is_tolerated(
+        self, tmp_path_factory, ops, damage, where
+    ):
+        """Cut (or garble) the last segment anywhere at or past the last
+        flushed byte: the reopen raises nothing, serves exactly the
+        frames before the damage — every flushed one among them — and
+        ``torn_tail_bytes`` accounts for the rest."""
+        directory = tmp_path_factory.mktemp("media")
+        segment, frames, flushed = _write_with_flush_points(directory, ops)
+        total = frames[-1][3] if frames else 0
+        # A cut may fall anywhere in [flushed, total]; a flip needs a byte.
+        span = total - flushed + (1 if damage == "truncate" else 0)
+        assume(span > 0)
+        position = flushed + min(int(where * span), span - 1)
+        damaged_size = _damage(segment, damage, position)
+
+        # Frames wholly before the damaged byte survive; the frame it
+        # hits and everything after it is torn tail.
+        intact = max((end for *_, end in frames if end <= position), default=0)
+        assert intact >= flushed
+        records, meta = _replay(frames, intact)
+
+        reopened = SegmentedSpillStore(directory)
+        assert reopened.torn_tail_bytes == damaged_size - intact
+        assert sorted(reopened.keys()) == sorted(records)
+        for key, value in records.items():
+            assert reopened.get(key).state.value() == value
+        assert reopened.get_meta() == meta
+        # The torn tail is gone from disk: appends land on a clean file.
+        reopened.put("fresh", record(7))
+        reopened.close()
+        third = SegmentedSpillStore(directory)
+        assert third.torn_tail_bytes == 0
+        assert third.get("fresh").state.value() == 7
+        third.close()
+
+    @_MEDIA_SETTINGS
+    @given(
+        ops=_MEDIA_OPS,
+        damage=st.sampled_from(("truncate", "flip")),
+        where=st.floats(0.0, 1.0),
+    )
+    def test_same_damage_in_a_sealed_segment_is_corruption(
+        self, tmp_path_factory, ops, damage, where
+    ):
+        """A sealed segment was fsynced before the next one opened, so
+        damage there is not a torn write: refuse to serve a silently
+        shortened history."""
+        directory = tmp_path_factory.mktemp("media")
+        segment, frames, _ = _write_with_flush_points(directory, ops)
+        assume(frames)
+        total = frames[-1][3]
+        position = min(int(where * total), total - 1)
+        # A cut on a frame boundary is indistinguishable from a shorter
+        # segment; any other damage must be detected.
+        assume(damage == "flip" or position not in {0, *(f[3] for f in frames)})
+        _damage(segment, damage, position)
+        (pathlib.Path(directory) / "seg-00000001.spill").write_bytes(b"")
+        with pytest.raises(SpillCorruption):
+            SegmentedSpillStore(directory)
+
+    def test_sealing_a_segment_fsyncs_it(self, tmp_path, monkeypatch):
+        """``flush()`` reaches only the active segment, so rotation must
+        sync the file it seals — a group commit's puts may straddle it."""
+        store = SegmentedSpillStore(tmp_path, segment_bytes=4096)
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            "os.fsync", lambda fd: (synced.append(os.fstat(fd).st_ino), real_fsync(fd))
+        )
+        first = os.stat(store._segments[0].path).st_ino
+        for i in range(200):  # no flush() anywhere
+            store.put(f"k{i}", record(i + 1))
+        assert store._active_id > 0
+        assert first in synced
         store.close()
 
 
