@@ -1,7 +1,7 @@
 """ISSUE-10: connection supervision on the framed TCP transport.
 
 Regression coverage for the socket stack's fault handling: fail-fast
-pending-future rejection when a client pump dies, backoff-gated redial
+pending-future rejection when a client's connection dies, backoff-gated redial
 instead of a tight retry loop against a dead peer, dead-stream eviction,
 bounded drop-oldest outboxes, strict wire mode, and the transport fault
 counters behind :class:`~repro.net.control.NetStats`.
@@ -68,7 +68,7 @@ def test_dial_failure_is_backoff_gated_not_tight_looped(monkeypatch):
     the attempts must be gated by the exponential backoff window."""
     attempts = []
 
-    async def refusing_dial(host, port, strict=False):
+    async def refusing_dial(host, port, owner, strict=False, limit=0):
         attempts.append(time.perf_counter())
         raise ConnectionRefusedError("nobody home")
 
@@ -100,26 +100,29 @@ def test_dial_failure_is_backoff_gated_not_tight_looped(monkeypatch):
 
 
 def test_send_failure_evicts_dead_stream_and_redials(monkeypatch):
-    """A cached outbound stream whose send fails must be evicted (not
-    poisoned forever) and the next message must redial."""
+    """A cached outbound stream whose connection dies must be evicted
+    (not poisoned forever) and the next message must redial.  Sends only
+    queue, so the death is reported the way a transport reports it: the
+    stream tells its owner ``stream_lost``."""
 
     class FlakyStream:
-        def __init__(self):
+        def __init__(self, owner):
+            self.owner = owner
             self.sends = 0
 
-        async def send(self, message):
+        def send_frame(self, frame):
             self.sends += 1
             if self.sends > 1:
-                raise ConnectionResetError("peer died")
-            return 10
+                self.owner.stream_lost(self, ConnectionResetError("peer died"))
+            return 0
 
-        async def close(self):
+        def close(self):
             pass
 
     dials = []
 
-    async def dialer(host, port, strict=False):
-        stream = FlakyStream()
+    async def dialer(host, port, owner, strict=False, limit=0):
+        stream = FlakyStream(owner)
         dials.append(stream)
         return stream
 
@@ -135,7 +138,7 @@ def test_send_failure_evicts_dead_stream_and_redials(monkeypatch):
         )
         server._send("peer", "first")   # dial #1, send ok
         await asyncio.sleep(0.05)
-        server._send("peer", "second")  # send fails: evict + arm backoff
+        server._send("peer", "second")  # link dies: evict + arm backoff
         await asyncio.sleep(0.05)
         server._send("peer", "third")   # must redial (dial #2)
         await asyncio.sleep(0.1)
@@ -144,8 +147,8 @@ def test_send_failure_evicts_dead_stream_and_redials(monkeypatch):
 
     server = asyncio.run(scenario())
     assert len(dials) == 2, "dead stream was not evicted and redialed"
-    assert server.connections_dropped >= 1
-    assert server.redials >= 1
+    assert server.connections_dropped == 1
+    assert server.redials == 1
     assert server.backoff_resets >= 1  # the successful redial reset it
 
 
@@ -153,7 +156,7 @@ def test_outbox_is_bounded_with_drop_oldest_accounting(monkeypatch):
     """An unreachable-but-addressed peer must not grow memory without
     bound: beyond the limit the oldest message is shed and counted."""
 
-    async def refusing_dial(host, port, strict=False):
+    async def refusing_dial(host, port, owner, strict=False, limit=0):
         raise ConnectionRefusedError("nobody home")
 
     monkeypatch.setattr(stream_mod, "open_stream", refusing_dial)
@@ -169,16 +172,16 @@ def test_outbox_is_bounded_with_drop_oldest_accounting(monkeypatch):
         for i in range(50):
             server._send("dead", ("msg", i))
         await asyncio.sleep(0.02)
-        queued = len(server._outboxes["dead"])
+        queued = server.link_health()["dead"]["queued"]
         shed = server.outbox_shed
         await server.close()
         return queued, shed
 
     queued, shed = asyncio.run(scenario())
     assert queued <= 8
-    # 50 puts into a limit-8 box: at most a couple drain before the
-    # backoff window blocks the consumer, the rest shed drop-oldest.
-    assert shed >= 40
+    # 50 puts into a limit-8 box while the dial is refused and the
+    # backoff window holds: everything past the limit is shed drop-oldest.
+    assert shed == 42
 
 
 def test_messages_to_unknown_destinations_are_still_dropped():
@@ -210,25 +213,25 @@ def test_encode_frame_strict_rejects_unregistered_types():
 
 def test_strict_send_sheds_message_but_keeps_drain_alive(monkeypatch):
     """A strict-mode encode failure must drop that message loudly
-    (counted) without killing the destination's drain task."""
+    (counted) and nothing else: later messages to the same destination
+    still go out."""
 
     class CountingStream:
         def __init__(self):
             self.payloads = []
 
-        async def send(self, message):
-            from repro.wire import encode_frame
+        def send_frame(self, frame):
+            from repro.wire import decode_frame
 
-            frame = encode_frame(message, strict=True)
-            self.payloads.append(message)
-            return len(frame)
+            self.payloads.append(decode_frame(frame)[0])
+            return 0
 
-        async def close(self):
+        def close(self):
             pass
 
     streams = []
 
-    async def dialer(host, port, strict=False):
+    async def dialer(host, port, owner, strict=False, limit=0):
         stream = CountingStream()
         streams.append(stream)
         return stream
@@ -497,3 +500,201 @@ def test_net_stats_reply_carries_fault_counters():
                 await server.close()
 
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# ISSUE-24: one dial per replica, back-pressure without drain(), teardown
+# ----------------------------------------------------------------------
+@needs_sockets
+def test_concurrent_first_requests_share_one_connection():
+    """Regression: N concurrent first callers used to open N connections,
+    of which N-1 leaked (never closed by ``close()``)."""
+
+    from repro.net.control import NetStats
+
+    async def scenario():
+        server = StreamNodeServer(_IdleNode("r0"), HOST, 0)
+        await server.start()
+        client = StreamClient("c0", {"r0": (HOST, server.port)})
+        try:
+            replies = await asyncio.gather(*(
+                client.request("r0", NetStats(request_id=f"s{i}"), timeout=10.0)
+                for i in range(8)
+            ))
+            assert [r.request_id for r in replies] == [f"s{i}" for i in range(8)]
+            assert len(server._inbound) == 1  # accepted exactly one connection
+            assert len(client._streams) == 1
+        finally:
+            await client.close()
+            await server.close()
+
+    asyncio.run(scenario())
+
+
+class _Sink(asyncio.Protocol):
+    """A peer that accepts and does not read until told to."""
+
+    def __init__(self):
+        from repro.wire import FrameDecoder
+
+        self.decoder = FrameDecoder()
+        self.received = []
+        self.transport = None
+
+    def connection_made(self, transport):
+        self.transport = transport
+        transport.pause_reading()
+
+    def data_received(self, data):
+        self.received.extend(m for _, m in self.decoder.feed(data))
+
+
+async def _listening_sink():
+    """A listener whose one accepted connection is a :class:`_Sink`."""
+    sinks = []
+
+    def accept():
+        sinks.append(_Sink())
+        return sinks[-1]
+
+    listener = await asyncio.get_running_loop().create_server(accept, HOST, 0)
+    return listener, listener.sockets[0].getsockname()[1], sinks
+
+
+@needs_sockets
+def test_slow_peer_is_back_pressured_with_bounded_memory():
+    """Without ``drain()`` the bound comes from ``pause_writing``: frames
+    park in the connection's bounded drop-oldest outbox, the transport
+    buffer stops at its high-water mark plus one flush, and when the
+    peer reads again everything parked leaves in order on the same
+    connection."""
+    limit = 64
+    blob = b"x" * 4096
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        listener, port, sinks = await _listening_sink()
+        server = StreamNodeServer(
+            _IdleNode(), HOST, 0, peers={"sink": (HOST, port)},
+            policy=SupervisionPolicy(outbox_limit=limit),
+        )
+        server._send("sink", (-1, b""))
+        await asyncio.sleep(0.05)  # connected
+        stream = server._links["sink"].stream
+        transport = stream._transport
+        _, high = transport.get_write_buffer_limits()
+        frame_len = server.bytes_sent + len(blob)
+        peak = 0
+        for i in range(5000):
+            server._send("sink", (i, blob))
+            if i % 16 == 15:
+                await asyncio.sleep(0)
+                peak = max(peak, transport.get_write_buffer_size())
+                assert len(stream.outbox) <= limit
+        assert stream._paused, "a never-reading peer must pause the writer"
+        assert peak <= high + (limit + 1) * frame_len
+        assert server.outbox_shed > 0
+        shed_at_resume = server.outbox_shed
+
+        sinks[0].transport.resume_reading()
+        deadline = loop.time() + 10.0
+        while (stream._paused or stream.outbox) and loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        server._send("sink", (5000, b"marker"))
+        while (not sinks[0].received or sinks[0].received[-1][0] != 5000):
+            assert loop.time() < deadline, "traffic did not resume"
+            await asyncio.sleep(0.01)
+        order = [i for i, _ in sinks[0].received]
+        assert order == sorted(order) and order[0] == -1  # FIFO, with gaps
+        assert len(order) == 5002 - shed_at_resume
+        assert server.outbox_shed == shed_at_resume
+        assert server.redials == 0 and server.connections_dropped == 0
+        assert len(sinks) == 1  # no redial: the same connection throughout
+        await server.close()
+        listener.close()
+
+    asyncio.run(scenario())
+
+
+@needs_sockets
+def test_close_flushes_queued_frames_before_closing():
+    async def scenario():
+        listener, port, sinks = await _listening_sink()
+        server = StreamNodeServer(
+            _IdleNode(), HOST, 0, peers={"sink": (HOST, port)}
+        )
+        server._send("sink", 0)
+        await asyncio.sleep(0.05)
+        for i in range(1, 6):
+            server._send("sink", i)
+        await server.close()  # same turn: none of the five was written yet
+        sinks[0].transport.resume_reading()
+        await asyncio.sleep(0.05)
+        assert sinks[0].received == [0, 1, 2, 3, 4, 5]
+        listener.close()
+
+    asyncio.run(scenario())
+
+
+_TEARDOWN_SCRIPT = """
+import asyncio
+from repro.core.config import CrdtPaxosConfig
+from repro.core.keyspace import Keyed, KeyedCrdtReplica
+from repro.core.messages import ClientUpdate
+from repro.crdt.gcounter import GCounter, Increment
+from repro.net.stream import StreamClient, StreamNodeServer
+
+NAMES = ["r0", "r1", "r2"]
+
+async def main():
+    servers = {
+        n: StreamNodeServer(
+            KeyedCrdtReplica(n, NAMES, lambda k: GCounter.initial(), CrdtPaxosConfig()),
+            "127.0.0.1", 0,
+        )
+        for n in NAMES
+    }
+    for server in servers.values():
+        await server.start()
+    for n, server in servers.items():
+        server.peers = {p: ("127.0.0.1", servers[p].port) for p in NAMES if p != n}
+    client = StreamClient("c0", {n: ("127.0.0.1", s.port) for n, s in servers.items()})
+    pending = [
+        asyncio.ensure_future(client.request(
+            NAMES[i % 3], Keyed(key="k", message=ClientUpdate(f"u{i}", Increment(1)))
+        ))
+        for i in range(12)
+    ]
+    await asyncio.gather(*pending[:6])
+    # Tear down with requests, peer traffic and a dial to a dead port in flight.
+    servers["r0"].peers["ghost"] = ("127.0.0.1", 1)
+    servers["r0"]._send("ghost", "anyone?")
+    await client.close()
+    for server in servers.values():
+        await server.close()
+    await asyncio.gather(*pending, return_exceptions=True)
+
+asyncio.run(main())
+print("done")
+"""
+
+
+@needs_sockets
+def test_teardown_leaves_stderr_empty():
+    """No ``Task was destroyed but it is pending`` / ``CancelledError``
+    traceback / never-retrieved exception when everything is closed with
+    traffic still in flight."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", _TEARDOWN_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "done", done.stderr
+    assert done.stderr == "", done.stderr
