@@ -17,8 +17,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
-from repro.net.message import wire_size as _wire_size
-
 
 class StateMachine(ABC):
     """A deterministic state machine replicated via a command log."""
@@ -78,9 +76,6 @@ class RsmUpdate:
     request_id: str
     command: Any
 
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.command)
-
 
 @dataclass(frozen=True, slots=True)
 class RsmQuery:
@@ -89,18 +84,12 @@ class RsmQuery:
     request_id: str
     command: Any
 
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.command)
-
 
 @dataclass(frozen=True, slots=True)
 class RsmUpdateDone:
     """Update applied (committed and executed at the serving replica)."""
 
     request_id: str
-
-    def wire_size(self) -> int:
-        return 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,9 +105,6 @@ class RsmQueryDone:
     served_by: str = ""
     via: str = ""
 
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.result)
-
 
 @dataclass(frozen=True, slots=True)
 class Forwarded:
@@ -129,6 +115,3 @@ class Forwarded:
 
     client: str
     message: RsmUpdate | RsmQuery
-
-    def wire_size(self) -> int:
-        return 8 + self.message.wire_size()

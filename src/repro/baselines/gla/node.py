@@ -36,7 +36,6 @@ from repro.baselines.common import (
     RsmUpdateDone,
     StateMachine,
 )
-from repro.net.message import wire_size as _wire_size
 from repro.net.node import Effects, ProtocolNode
 from repro.errors import ConfigurationError
 
@@ -50,25 +49,16 @@ class Propose:
     seq: int
     value: frozenset
 
-    def wire_size(self) -> int:
-        return 16 + sum(_wire_size(command) for command in self.value)
-
 
 @dataclass(frozen=True, slots=True)
 class ProposeAck:
     seq: int
-
-    def wire_size(self) -> int:
-        return 16
 
 
 @dataclass(frozen=True, slots=True)
 class ProposeNack:
     seq: int
     value: frozenset
-
-    def wire_size(self) -> int:
-        return 16 + sum(_wire_size(command) for command in self.value)
 
 
 @dataclass

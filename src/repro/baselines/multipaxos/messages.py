@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.net.message import wire_size as _wire_size
 
 Ballot = tuple[int, int]
 
@@ -24,9 +23,6 @@ class PaxEntry:
     client: str = ""
     request_id: str = ""
 
-    def wire_size(self) -> int:
-        return 16 + _wire_size(self.command)
-
 
 @dataclass(frozen=True, slots=True)
 class Phase1a:
@@ -34,9 +30,6 @@ class Phase1a:
 
     ballot: Ballot
     from_slot: int
-
-    def wire_size(self) -> int:
-        return 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,13 +49,6 @@ class Phase1b:
     snapshot_slot: int = 0
     snapshot: Any = None
 
-    def wire_size(self) -> int:
-        return (
-            33
-            + sum(24 + entry.wire_size() for _, _, entry in self.accepted)
-            + _wire_size(self.snapshot)
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Phase2a:
@@ -73,9 +59,6 @@ class Phase2a:
     entry: PaxEntry
     commit_index: int
 
-    def wire_size(self) -> int:
-        return 32 + self.entry.wire_size()
-
 
 @dataclass(frozen=True, slots=True)
 class Phase2b:
@@ -85,9 +68,6 @@ class Phase2b:
     slot: int
     accepted: bool
 
-    def wire_size(self) -> int:
-        return 25
-
 
 @dataclass(frozen=True, slots=True)
 class Heartbeat:
@@ -96,9 +76,6 @@ class Heartbeat:
     ballot: Ballot
     commit_index: int
 
-    def wire_size(self) -> int:
-        return 24
-
 
 @dataclass(frozen=True, slots=True)
 class HeartbeatAck:
@@ -106,18 +83,12 @@ class HeartbeatAck:
     #: The follower's applied frontier, so the leader can detect laggards.
     applied_index: int
 
-    def wire_size(self) -> int:
-        return 24
-
 
 @dataclass(frozen=True, slots=True)
 class CatchupRequest:
     """A follower asks the leader for slots it is missing."""
 
     from_slot: int
-
-    def wire_size(self) -> int:
-        return 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,10 +99,3 @@ class CatchupReply:
     commit_index: int
     snapshot_slot: int = 0
     snapshot: Any = None
-
-    def wire_size(self) -> int:
-        return (
-            24
-            + sum(24 + entry.wire_size() for _, _, entry in self.entries)
-            + _wire_size(self.snapshot)
-        )

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.net.message import wire_size as _wire_size
-
 
 @dataclass(frozen=True, slots=True)
 class LogEntry:
@@ -30,9 +28,6 @@ class LogEntry:
     command: Any = None
     client: str = ""
     request_id: str = ""
-
-    def wire_size(self) -> int:
-        return 16 + _wire_size(self.command)
 
 
 class RaftLog:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.baselines.raft.log import LogEntry
-from repro.net.message import wire_size as _wire_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -16,17 +15,11 @@ class RequestVote:
     last_log_index: int
     last_log_term: int
 
-    def wire_size(self) -> int:
-        return 24 + len(self.candidate)
-
 
 @dataclass(frozen=True, slots=True)
 class RequestVoteReply:
     term: int
     granted: bool
-
-    def wire_size(self) -> int:
-        return 9
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,9 +36,6 @@ class AppendEntries:
     #: self-perpetuating reply stream and melt the leader.
     seq: int = 0
 
-    def wire_size(self) -> int:
-        return 40 + len(self.leader) + sum(e.wire_size() for e in self.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class AppendEntriesReply:
@@ -55,9 +45,6 @@ class AppendEntriesReply:
     #: follower's last log index, used as a back-off hint.
     match_index: int
     seq: int = 0
-
-    def wire_size(self) -> int:
-        return 25
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,15 +56,9 @@ class InstallSnapshot:
     snapshot: Any
     seq: int = 0
 
-    def wire_size(self) -> int:
-        return 32 + len(self.leader) + _wire_size(self.snapshot)
-
 
 @dataclass(frozen=True, slots=True)
 class InstallSnapshotReply:
     term: int
     last_included_index: int
     seq: int = 0
-
-    def wire_size(self) -> int:
-        return 24

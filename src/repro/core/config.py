@@ -118,8 +118,9 @@ class CrdtPaxosConfig:
         Keyed deployments only: soft cap on RAM-frozen records a
         :class:`~repro.core.keyspace.KeyedCrdtReplica` keeps before the
         oldest-frozen records are *spilled* — their ``(payload, round,
-        learned-max)`` triple serialized to the replica's
-        :class:`~repro.storage.base.SpillStore` and dropped from RAM,
+        learned-max)`` triple written to the replica's
+        :class:`~repro.storage.base.SpillStore` in the wire encoding (the
+        same bytes the payload travels as) and dropped from RAM,
         rehydrating transparently on the next touch.  Extends the same
         no-log safety argument to disk: the spilled triple is the
         acceptor's entire durable state (§3.3).  Requires a spill store

@@ -70,10 +70,7 @@ in the coalescing outbox are pinned resident until the flush — demotion
 must never separate a key's record from its undelivered traffic.
 
 Timer routing stays O(1) in the number of keys (a namespace→key index,
-maintained on proposer materialization, replaces any scan), and
-:meth:`Keyed.wire_size` memoizes like
-:class:`~repro.net.message.Envelope` does, so broadcasting one keyed
-payload to many peers sizes the inner CRDT once.
+maintained on proposer materialization, replaces any scan).
 
 Two refinements ride on the frozen-record design:
 
@@ -139,8 +136,7 @@ from repro.core.rounds import Round
 from repro.core.router import dispatch_peer_message
 from repro.crdt.base import StateCRDT
 from repro.errors import ConfigurationError, StaleRecoveryError, StorageUnavailable
-from repro.net.message import ENVELOPE_OVERHEAD_BYTES
-from repro.net.message import wire_size as _wire_size
+from repro.net.message import ENVELOPE_OVERHEAD_BYTES, wire_size
 from repro.net.node import Effects, ProtocolNode
 from repro.quorum.system import MajorityQuorum, QuorumSystem
 from repro.storage.base import SpillRecord, SpillStore
@@ -207,9 +203,7 @@ _CERTIFYING = (
 _MIGRATION_COMMANDS = (MigrateFreeze, MigrateInstall, MigrateCommit)
 
 
-# No ``slots=True``: the memoized wire size lives in the instance dict
-# (same pattern as Envelope.size_bytes).
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keyed:
     """Wrapper routing any protocol or client message to one key."""
 
@@ -222,19 +216,8 @@ class Keyed:
         asyncio client) can match keyed replies transparently."""
         return getattr(self.message, "request_id", None)
 
-    def wire_size(self) -> int:
-        """Total size of key + inner message; memoized — one Keyed object
-        is broadcast to every peer, and sizing a large CRDT payload per
-        envelope was a top profile entry at 10k-key scale."""
-        cached = self.__dict__.get("_size")
-        if cached is None:
-            cached = _wire_size(self.key) + _wire_size(self.message)
-            object.__setattr__(self, "_size", cached)
-        return cached
 
-
-# No ``slots=True`` for the same memoized-size reason as Keyed.
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyedBatch:
     """One framed envelope carrying many per-key messages to one peer.
 
@@ -247,13 +230,6 @@ class KeyedBatch:
     """
 
     items: tuple[Keyed, ...]
-
-    def wire_size(self) -> int:
-        cached = self.__dict__.get("_size")
-        if cached is None:
-            cached = 8 + sum(item.wire_size() for item in self.items)
-            object.__setattr__(self, "_size", cached)
-        return cached
 
 
 class _FrozenKey:
@@ -555,7 +531,9 @@ class KeyedCrdtReplica(ProtocolNode):
         #: duplicate; this is what makes update-timeout re-drives
         #: coalescing-aware (the re-driven MERGE replaces the parked one).
         self._remote_peers = frozenset(peers) - {node_id}
-        self._outbox: dict[str, dict[tuple, Keyed]] = {}
+        #: Each parked entry is ``(envelope, wire size)``; the size is
+        #: measured only when a byte ledger is kept (0 otherwise).
+        self._outbox: dict[str, dict[tuple, tuple[Keyed, int]]] = {}
         #: How many outbox envelopes reference each key; a parked key is
         #: pinned resident (demotion must not separate a key's record
         #: from its undelivered traffic).
@@ -1526,9 +1504,9 @@ class KeyedCrdtReplica(ProtocolNode):
 
         Replies to clients are wrapped too, so client code can route by
         key; adapters unwrap transparently.  A broadcast lists the same
-        inner message once per destination; sharing one ``Keyed`` wrapper
-        across those sends is what makes its ``wire_size`` memo pay — the
-        payload is sized once per broadcast instead of once per envelope.
+        inner message once per destination; the sends share one ``Keyed``
+        wrapper, so a transport that encodes per message object encodes a
+        broadcast once.
 
         With ``keyed_coalesce_window`` set, peer-bound envelopes detour
         through the outbox and leave as one :class:`KeyedBatch` per peer
@@ -1572,14 +1550,16 @@ class KeyedCrdtReplica(ProtocolNode):
                     self._acceptor_stats.keyed_envelopes_superseded += 1
                 else:
                     self._parked_count[key] = self._parked_count.get(key, 0) + 1
-                bucket[slot] = keyed
                 budget = self.config.keyed_outbox_byte_budget
                 adaptive = self.config.keyed_coalesce_adaptive
+                size = 0
                 if budget is not None or adaptive:
-                    parked = self._parked_bytes.get(dst, 0) + keyed.wire_size()
+                    size = wire_size(keyed)
+                    parked = self._parked_bytes.get(dst, 0) + size
                     if old is not None:
-                        parked -= old.wire_size()
+                        parked -= old[1]
                     self._parked_bytes[dst] = parked
+                bucket[slot] = (keyed, size)
                 if adaptive:
                     last = self._coalesce_last.get(dst)
                     self._coalesce_last[dst] = self._now
@@ -1651,7 +1631,7 @@ class KeyedCrdtReplica(ProtocolNode):
                     self._parked_count[slot_key] = count - 1
         stats = self._acceptor_stats
         stats.keyed_budget_flushes += 1
-        items = list(bucket.values())
+        items = [keyed for keyed, _ in bucket.values()]
         if len(items) == 1:
             effects.send(dst, items[0])
             return
@@ -1671,7 +1651,7 @@ class KeyedCrdtReplica(ProtocolNode):
         self._parked_bytes.clear()
         stats = self._acceptor_stats
         for dst, bucket in outbox.items():
-            items = list(bucket.values())
+            items = [keyed for keyed, _ in bucket.values()]
             if len(items) == 1:  # nothing to amortize; skip the framing
                 effects.send(dst, items[0])
                 continue

@@ -8,45 +8,18 @@ originating request (or batch); acceptors echo them verbatim.
 VOTED deliberately carries **no payload** (§3.6): the proposer already
 knows the state it proposed.
 
-Sizing is interned at both layers: the CRDT payload's size is memoized on
-the payload object (next to its digest cache, via ``cached_wire_size``),
-and the payload-carrying messages additionally memoize their *total* size
-in a ``_size`` slot — a MERGE/PREPARE broadcast to N peers is sized once
-on the protocol message, not once per envelope.
+Sizes are not declared here: a message's size is the length of its
+encoded wire body (:func:`repro.net.message.wire_size`), and a large
+payload's body is memoised on the payload itself (:mod:`repro.wire`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.rounds import Round
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
-from repro.net.message import cached_wire_size as _cached_wire_size
-from repro.net.message import wire_size as _wire_size
-
-
-def _state_size(state: StateCRDT | None) -> int:
-    # Memoized: one MERGE/PREPARE payload is broadcast to every peer and
-    # its envelope sized per destination.
-    return 0 if state is None else _cached_wire_size(state)
-
-
-#: Memo slot for a message's total wire size (init=False keeps it out of
-#: the constructor, compare=False out of equality and hashing).
-def _size_slot():
-    return field(default=None, init=False, repr=False, compare=False)
-
-
-def _intern_size(message, total: int) -> int:
-    """Store a message's computed total size in its ``_size`` slot.
-
-    One shared helper so the six payload-carrying messages do not each
-    carry a private copy of the memoization logic.  ``total`` is computed
-    by the caller only on a miss (``wire_size`` checks the slot first).
-    """
-    object.__setattr__(message, "_size", total)
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -59,9 +32,6 @@ class ClientUpdate:
     request_id: str
     op: UpdateOp
 
-    def wire_size(self) -> int:
-        return 8 + self.op.wire_size()
-
 
 @dataclass(frozen=True, slots=True)
 class ClientQuery:
@@ -69,9 +39,6 @@ class ClientQuery:
 
     request_id: str
     op: QueryOp
-
-    def wire_size(self) -> int:
-        return 8 + self.op.wire_size()
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,9 +54,6 @@ class UpdateDone:
 
     request_id: str
     inclusion_tag: Any = None
-
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.inclusion_tag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,9 +74,6 @@ class QueryDone:
     proposer: str
     learn_seq: int
 
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.result) + 20
-
 
 @dataclass(frozen=True, slots=True)
 class Refused:
@@ -130,9 +91,6 @@ class Refused:
     request_id: str
     code: str
     detail: str = ""
-
-    def wire_size(self) -> int:
-        return 8 + len(self.code) + len(self.detail)
 
 
 # ----------------------------------------------------------------------
@@ -156,9 +114,6 @@ class WrongGroup:
     epoch: int
     group: str
 
-    def wire_size(self) -> int:
-        return 16 + len(self.group)
-
 
 @dataclass(frozen=True, slots=True)
 class MigrateFreeze:
@@ -178,9 +133,6 @@ class MigrateFreeze:
     epoch: int
     target: str
 
-    def wire_size(self) -> int:
-        return 16 + len(self.target)
-
 
 @dataclass(frozen=True, slots=True)
 class MigrateFrozen:
@@ -191,18 +143,6 @@ class MigrateFrozen:
     round: Round
     state: StateCRDT
     learned_max: StateCRDT | None = None
-    _size: int | None = _size_slot()
-
-    def wire_size(self) -> int:
-        if self._size is None:
-            return _intern_size(
-                self,
-                16
-                + self.round.wire_size()
-                + _state_size(self.state)
-                + _state_size(self.learned_max),
-            )
-        return self._size
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,18 +161,6 @@ class MigrateInstall:
     round: Round
     state: StateCRDT
     learned_max: StateCRDT | None = None
-    _size: int | None = _size_slot()
-
-    def wire_size(self) -> int:
-        if self._size is None:
-            return _intern_size(
-                self,
-                16
-                + self.round.wire_size()
-                + _state_size(self.state)
-                + _state_size(self.learned_max),
-            )
-        return self._size
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,9 +169,6 @@ class MigrateInstalled:
 
     request_id: str
     epoch: int
-
-    def wire_size(self) -> int:
-        return 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,9 +186,6 @@ class MigrateCommit:
     epoch: int
     target: str
 
-    def wire_size(self) -> int:
-        return 16 + len(self.target)
-
 
 @dataclass(frozen=True, slots=True)
 class MigrateCommitAck:
@@ -271,9 +193,6 @@ class MigrateCommitAck:
 
     request_id: str
     epoch: int
-
-    def wire_size(self) -> int:
-        return 16
 
 
 # ----------------------------------------------------------------------
@@ -295,13 +214,6 @@ class Merge:
     request_id: str
     state: StateCRDT
     digest: int | None = None
-    _size: int | None = _size_slot()
-
-    def wire_size(self) -> int:
-        if self._size is None:
-            extra = 0 if self.digest is None else 5
-            return _intern_size(self, 8 + _state_size(self.state) + extra)
-        return self._size
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,9 +229,6 @@ class Merged:
     request_id: str
     diverged: bool = False
 
-    def wire_size(self) -> int:
-        return 9 if self.diverged else 8
-
 
 @dataclass(frozen=True, slots=True)
 class Prepare:
@@ -333,14 +242,6 @@ class Prepare:
     attempt: int
     round: Round
     state: StateCRDT | None = None
-    _size: int | None = _size_slot()
-
-    def wire_size(self) -> int:
-        if self._size is None:
-            return _intern_size(
-                self, 12 + self.round.wire_size() + _state_size(self.state)
-            )
-        return self._size
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,14 +252,6 @@ class PrepareAck:
     attempt: int
     round: Round
     state: StateCRDT
-    _size: int | None = _size_slot()
-
-    def wire_size(self) -> int:
-        if self._size is None:
-            return _intern_size(
-                self, 12 + self.round.wire_size() + _state_size(self.state)
-            )
-        return self._size
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,14 +267,6 @@ class PrepareNack:
     attempt: int
     round: Round
     state: StateCRDT
-    _size: int | None = _size_slot()
-
-    def wire_size(self) -> int:
-        if self._size is None:
-            return _intern_size(
-                self, 12 + self.round.wire_size() + _state_size(self.state)
-            )
-        return self._size
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,14 +277,6 @@ class Vote:
     attempt: int
     round: Round
     state: StateCRDT
-    _size: int | None = _size_slot()
-
-    def wire_size(self) -> int:
-        if self._size is None:
-            return _intern_size(
-                self, 12 + self.round.wire_size() + _state_size(self.state)
-            )
-        return self._size
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,9 +285,6 @@ class Voted:
 
     request_id: str
     attempt: int
-
-    def wire_size(self) -> int:
-        return 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,11 +295,3 @@ class VoteNack:
     attempt: int
     round: Round
     state: StateCRDT
-    _size: int | None = _size_slot()
-
-    def wire_size(self) -> int:
-        if self._size is None:
-            return _intern_size(
-                self, 12 + self.round.wire_size() + _state_size(self.state)
-            )
-        return self._size

@@ -78,11 +78,6 @@ class Round:
         """Resolve an incremental round at an acceptor (line 39)."""
         return Round(acceptor_number + 1, self.rid)
 
-    def wire_size(self) -> int:
-        # The paper's headline: coordination overhead is one counter plus a
-        # fixed-size unique id per message.
-        return 8 + 12
-
     def __repr__(self) -> str:
         number = "⊥" if self.is_incremental else str(self.number)
         return f"Round({number}, {self.rid})"

@@ -79,23 +79,20 @@ class StateCRDT(ABC):
     def compare(self: S, other: S) -> bool:
         """Return True iff ``self ⊑ other`` in the lattice order."""
 
-    @abstractmethod
-    def wire_size(self) -> int:
-        """Approximate serialized size in bytes, for traffic accounting."""
-
     # ------------------------------------------------------------------
     # Identity helpers (hot-path short-circuits)
     # ------------------------------------------------------------------
     def __getstate__(self):
-        """Strip the identity caches when (de)serializing or deep-copying.
+        """Strip the identity caches when a payload is copied.
 
         Digests are built on ``hash()`` (salted per process) and version
-        stamps are process-local counters; shipping either to another
-        process would poison its caches.  The spill tier pickles payloads
-        (:mod:`repro.crdt.serialize`) and the checker deep-copies them;
-        every ``_crdt_``-prefixed slot — the memoised wire blob included,
-        which a record would otherwise carry as a second copy of the
-        payload — stays behind and is re-derived lazily.
+        stamps are process-local counters; carrying either into another
+        process would poison its caches.  The checker deep-copies
+        payloads, and anything outside this package may copy or
+        serialize them with the standard protocols (the wire and spill
+        paths use the wire codec, which writes only a payload's fields);
+        every ``_crdt_``-prefixed slot — the memoised wire blob included
+        — stays behind and is re-derived lazily.
         """
         state = super().__getstate__()
         if isinstance(state, tuple) and state and isinstance(state[0], dict):
@@ -339,9 +336,6 @@ class UpdateOp(ABC):
         """
         return after
 
-    def wire_size(self) -> int:
-        return 16
-
 
 class QueryOp(ABC):
     """A side-effect-free query function ``f_q ∈ Q``."""
@@ -349,9 +343,6 @@ class QueryOp(ABC):
     @abstractmethod
     def apply(self, state: Any) -> Any:
         """Evaluate the query against a payload state."""
-
-    def wire_size(self) -> int:
-        return 8
 
 
 class IdentityQuery(QueryOp):

@@ -77,10 +77,6 @@ class GCounter(StateCRDT):
         theirs = other.as_dict()
         return all(count <= theirs.get(replica, 0) for replica, count in self.entries)
 
-    def wire_size(self) -> int:
-        # One (replica id, 64-bit slot) pair per entry.
-        return 4 + sum(len(replica) + 8 for replica, _ in self.entries)
-
 
 #: Shared bottom element returned by :meth:`GCounter.initial`.
 _BOTTOM = GCounter()

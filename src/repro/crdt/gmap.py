@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
-from repro.net.message import wire_size as _wire_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,11 +98,6 @@ class GMap(StateCRDT):
                 return False
         return True
 
-    def wire_size(self) -> int:
-        return 8 + sum(
-            _wire_size(key) + value.wire_size() for key, value in self.entries
-        )
-
 
 class GMapApply(UpdateOp):
     """Apply a nested update to the CRDT stored under ``key``.
@@ -133,9 +127,6 @@ class GMapApply(UpdateOp):
         if current is not None:
             nested = self.update.delta(current, nested, replica_id)
         return GMap(((self.key, nested),))
-
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.key) + self.update.wire_size()
 
     def __repr__(self) -> str:
         return f"GMapApply({self.key!r}, {self.update!r})"

@@ -20,7 +20,6 @@ from typing import Hashable
 import networkx
 
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
-from repro.net.message import wire_size as _wire_size
 
 Edge = tuple[Hashable, Hashable]
 
@@ -121,18 +120,6 @@ class TwoPhaseGraph(StateCRDT):
             and self.vertices_removed <= other.vertices_removed
             and self.edges_added <= other.edges_added
             and self.edges_removed <= other.edges_removed
-        )
-
-    def wire_size(self) -> int:
-        return 16 + sum(
-            _wire_size(item)
-            for component in (
-                self.vertices_added,
-                self.vertices_removed,
-                self.edges_added,
-                self.edges_removed,
-            )
-            for item in component
         )
 
 

@@ -1,8 +1,8 @@
 """Grow-only set.
 
 Payloads are finite sets ordered by inclusion; ``merge`` is set union.
-Elements must be hashable; for wire accounting they are sized through
-:func:`repro.net.message.wire_size`.
+Elements must be hashable and encodable by the wire codec
+(:mod:`repro.wire`).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
-from repro.net.message import wire_size as _wire_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,9 +49,6 @@ class GSet(StateCRDT):
             return True
         return self.elements <= other.elements
 
-    def wire_size(self) -> int:
-        return 4 + sum(_wire_size(element) for element in self.elements)
-
 
 class GSetAdd(UpdateOp):
     """Insert an element (idempotent)."""
@@ -67,9 +63,6 @@ class GSetAdd(UpdateOp):
 
     def delta(self, before: GSet, after: GSet, replica_id: str) -> GSet:
         return GSet(frozenset({self.element}))
-
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.element)
 
     def __repr__(self) -> str:
         return f"GSetAdd({self.element!r})"

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
-from repro.net.message import wire_size as _wire_size
 
 Stamp = tuple[float, int, str]
 Entry = tuple[Hashable, tuple[Any, Stamp]]
@@ -147,12 +146,6 @@ class LWWMap(StateCRDT):
                 return False
         return True
 
-    def wire_size(self) -> int:
-        return 8 + sum(
-            _wire_size(key) + _wire_size(value) + 24
-            for key, (value, _) in self.entries
-        )
-
 
 class LWWMapPut(UpdateOp):
     """Write ``key = value`` with a caller-provided timestamp."""
@@ -175,9 +168,6 @@ class LWWMapPut(UpdateOp):
         # ``before``) it is the entry that beat it, which changes nothing.
         return after.entry_delta(self.key)
 
-    def wire_size(self) -> int:
-        return 16 + _wire_size(self.key) + _wire_size(self.value)
-
     def __repr__(self) -> str:
         return f"LWWMapPut({self.key!r}, {self.value!r}, ts={self.timestamp})"
 
@@ -196,9 +186,6 @@ class LWWMapRemove(UpdateOp):
 
     def delta(self, before: LWWMap, after: LWWMap, replica_id: str) -> LWWMap:
         return after.entry_delta(self.key)  # the tombstone entry; see LWWMapPut
-
-    def wire_size(self) -> int:
-        return 16 + _wire_size(self.key)
 
     def __repr__(self) -> str:
         return f"LWWMapRemove({self.key!r}, ts={self.timestamp})"

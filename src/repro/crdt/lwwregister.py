@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
-from repro.net.message import wire_size as _wire_size
 
 #: Stamp of the initial (never written) register: below every real write.
 _INITIAL_STAMP: tuple[float, int, str] = (float("-inf"), 0, "")
@@ -54,9 +53,6 @@ class LWWRegister(StateCRDT):
             return True
         return self.stamp <= other.stamp
 
-    def wire_size(self) -> int:
-        return 24 + _wire_size(self.value)
-
 
 class LWWSet(UpdateOp):
     """Write a value with a caller-provided timestamp."""
@@ -69,9 +65,6 @@ class LWWSet(UpdateOp):
 
     def apply(self, state: LWWRegister, replica_id: str) -> LWWRegister:
         return state.written(self.value, self.timestamp, replica_id)
-
-    def wire_size(self) -> int:
-        return 16 + _wire_size(self.value)
 
     def __repr__(self) -> str:
         return f"LWWSet({self.value!r}, ts={self.timestamp})"

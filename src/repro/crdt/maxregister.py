@@ -32,9 +32,6 @@ class MaxRegister(StateCRDT):
             return True
         return self.value <= other.value
 
-    def wire_size(self) -> int:
-        return 8
-
 
 class MaxSet(UpdateOp):
     """Raise the register to at least ``value`` (no-op if already higher)."""

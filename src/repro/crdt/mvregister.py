@@ -21,7 +21,6 @@ from typing import Any
 
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
 from repro.crdt.vector_clock import VectorClock
-from repro.net.message import wire_size as _wire_size
 
 Entry = tuple[Any, VectorClock]
 
@@ -74,11 +73,6 @@ class MVRegister(StateCRDT):
             for _, clock in self.entries
         )
 
-    def wire_size(self) -> int:
-        return 8 + sum(
-            _wire_size(value) + clock.wire_size() for value, clock in self.entries
-        )
-
 
 class MVWrite(UpdateOp):
     """Write a value, superseding every currently observed entry."""
@@ -90,9 +84,6 @@ class MVWrite(UpdateOp):
 
     def apply(self, state: MVRegister, replica_id: str) -> MVRegister:
         return state.written(self.value, replica_id)
-
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.value)
 
     def __repr__(self) -> str:
         return f"MVWrite({self.value!r})"

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
-from repro.net.message import wire_size as _wire_size
 
 Tag = tuple[str, int]
 
@@ -102,13 +101,6 @@ class ORSet(StateCRDT):
             and self.tombstones <= other.tombstones
         )
 
-    def wire_size(self) -> int:
-        entry_bytes = sum(
-            _wire_size(element) + len(tag[0]) + 8 for (element, tag) in self.entries
-        )
-        tombstone_bytes = sum(len(replica) + 8 for (replica, _) in self.tombstones)
-        return 8 + entry_bytes + tombstone_bytes
-
 
 class ORSetAdd(UpdateOp):
     """Add an element under a fresh unique tag."""
@@ -123,9 +115,6 @@ class ORSetAdd(UpdateOp):
 
     def delta(self, before: ORSet, after: ORSet, replica_id: str) -> ORSet:
         return ORSet(after.entries - before.entries, frozenset())
-
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.element)
 
     def __repr__(self) -> str:
         return f"ORSetAdd({self.element!r})"
@@ -147,9 +136,6 @@ class ORSetRemove(UpdateOp):
         # Tombstones alone reproduce the removal when merged anywhere; a
         # receiver lacking the tagged entries just records them early.
         return ORSet(frozenset(), after.tombstones - before.tombstones)
-
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.element)
 
     def __repr__(self) -> str:
         return f"ORSetRemove({self.element!r})"

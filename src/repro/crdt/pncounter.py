@@ -50,9 +50,6 @@ class PNCounter(StateCRDT):
             other.negative
         )
 
-    def wire_size(self) -> int:
-        return self.positive.wire_size() + self.negative.wire_size()
-
 
 class PNIncrement(UpdateOp):
     """Add ``amount`` to the counter."""

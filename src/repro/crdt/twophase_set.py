@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.crdt.base import QueryOp, StateCRDT, UpdateOp
-from repro.net.message import wire_size as _wire_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,13 +60,6 @@ class TwoPhaseSet(StateCRDT):
             return True
         return self.added <= other.added and self.removed <= other.removed
 
-    def wire_size(self) -> int:
-        return (
-            8
-            + sum(_wire_size(element) for element in self.added)
-            + sum(_wire_size(element) for element in self.removed)
-        )
-
 
 class TwoPhaseAdd(UpdateOp):
     """Insert an element (ineffective if it was ever removed)."""
@@ -79,9 +71,6 @@ class TwoPhaseAdd(UpdateOp):
 
     def apply(self, state: TwoPhaseSet, replica_id: str) -> TwoPhaseSet:
         return state.with_added(self.element)
-
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.element)
 
     def __repr__(self) -> str:
         return f"TwoPhaseAdd({self.element!r})"
@@ -97,9 +86,6 @@ class TwoPhaseRemove(UpdateOp):
 
     def apply(self, state: TwoPhaseSet, replica_id: str) -> TwoPhaseSet:
         return state.with_removed(self.element)
-
-    def wire_size(self) -> int:
-        return 8 + _wire_size(self.element)
 
     def __repr__(self) -> str:
         return f"TwoPhaseRemove({self.element!r})"

@@ -67,6 +67,3 @@ class VectorClock(StateCRDT):
             return True
         theirs = other.as_dict()
         return all(count <= theirs.get(replica, 0) for replica, count in self.entries)
-
-    def wire_size(self) -> int:
-        return 4 + sum(len(replica) + 8 for replica, _ in self.entries)

@@ -84,10 +84,11 @@ class WrongGroupError(ReproError):
 
 
 class SerializationError(ReproError):
-    """A durable record could not be encoded or decoded.
+    """A value could not be encoded or decoded.
 
-    Raised by :mod:`repro.crdt.serialize` for malformed blobs and by the
-    spill stores when a record's framing is unusable.
+    Raised by the wire codec (:mod:`repro.wire`) for a type it cannot
+    encode and for malformed bytes, and by the spill stores for a record
+    or meta body of the wrong shape.
     """
 
 

@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from repro.errors import TransportError
 from repro.net.message import Envelope
-from repro.net.sim_transport import Endpoint, NetworkStats, _load_wire
+from repro.net.sim_transport import Endpoint, NetworkStats
 from repro.sim.kernel import Simulator
 
 #: Virtual time consumed by one adversarial delivery.  Non-zero so that
@@ -30,7 +30,6 @@ class AdversarialNetwork:
     whose delivery order is controlled by an explorer, not by latencies."""
 
     def __init__(self, sim: Simulator, wire_fidelity: bool = True) -> None:
-        _load_wire()
         self._sim = sim
         self._rng = sim.rng.stream("adversary")
         self.stats = NetworkStats()

@@ -21,9 +21,6 @@ class NetStats:
 
     request_id: str
 
-    def wire_size(self) -> int:
-        return 8
-
 
 @dataclass(frozen=True, slots=True)
 class NetStatsReply:
@@ -50,9 +47,6 @@ class NetStatsReply:
     backoff_resets: int = 0
     outbox_shed: int = 0
 
-    def wire_size(self) -> int:
-        return 8 + 72
-
     @property
     def is_refusal(self) -> bool:  # mirrors the client-message protocol
         return False
@@ -72,9 +66,6 @@ class Sever:
 
     request_id: str
 
-    def wire_size(self) -> int:
-        return 8
-
 
 @dataclass(frozen=True, slots=True)
 class SeverDone:
@@ -83,9 +74,6 @@ class SeverDone:
     request_id: str
     node: str
     connections_dropped: int
-
-    def wire_size(self) -> int:
-        return 8 + 16
 
     @property
     def is_refusal(self) -> bool:
@@ -109,9 +97,6 @@ class GarbageInject:
     dst: str
     payload: bytes = b""
 
-    def wire_size(self) -> int:
-        return 8 + 8 + len(self.payload)
-
 
 @dataclass(frozen=True, slots=True)
 class GarbageInjectDone:
@@ -120,9 +105,6 @@ class GarbageInjectDone:
     request_id: str
     node: str
     injected: bool
-
-    def wire_size(self) -> int:
-        return 8 + 9
 
     @property
     def is_refusal(self) -> bool:

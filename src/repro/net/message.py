@@ -2,91 +2,36 @@
 
 Protocol messages are plain dataclasses.  For bandwidth accounting (one of
 the paper's claims is that coordination overhead is *a single counter per
-message*) every message can report an approximate serialized size through a
-``wire_size()`` method; objects without one are sized by a conservative
-structural estimate.
+message*) a message's size is the length of its body in the binary wire
+codec (:mod:`repro.wire`) — the bytes a socket carries for it, less the
+frame's header and checksum — so every figure is exact and every runtime
+counts the same bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 #: Fixed per-envelope overhead: source/destination addresses, message tag,
 #: transport framing.  A rough but consistent figure; only *relative* sizes
 #: matter for the experiments.
 ENVELOPE_OVERHEAD_BYTES = 32
 
-#: Optional codec-backed sizer consulted before any estimate.  Installed
-#: by :mod:`repro.wire` (which the transports import), it returns the
-#: *real* encoded length for wire-registered classes and ``None`` for
-#: everything else — unregistered objects keep the structural estimator
-#: below, so ad-hoc payloads stay sized exactly as documented.
-_EXACT_SIZER: Callable[[Any], int | None] | None = None
-
-
-def install_exact_sizer(sizer: Callable[[Any], int | None]) -> None:
-    """Route :func:`wire_size` through a codec that knows exact lengths."""
-    global _EXACT_SIZER
-    _EXACT_SIZER = sizer
-
 
 def wire_size(obj: Any) -> int:
-    """The serialized size of ``obj`` in bytes.
+    """The length of ``obj``'s encoded wire body in bytes.
 
-    With :mod:`repro.wire` imported this is the exact encoded body length
-    for every registered protocol class.  Otherwise — and for objects the
-    codec does not know — objects may implement ``wire_size() -> int`` to
-    report a figure themselves, and everything else gets a small
-    structural estimate that keeps accounting sane.
+    A value the codec cannot encode raises
+    :class:`~repro.errors.SerializationError`: there is no estimate to
+    fall back on, so a message that could not cross a socket cannot be
+    counted as if it had.
     """
-    sizer = _EXACT_SIZER
-    if sizer is not None:
-        exact = sizer(obj)
-        if exact is not None:
-            return exact
-    method = getattr(obj, "wire_size", None)
-    if callable(method):
-        return int(method())
-    if obj is None:
-        return 1
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, (int, float)):
-        return 8
-    if isinstance(obj, str):
-        return len(obj.encode("utf-8"))
-    if isinstance(obj, bytes):
-        return len(obj)
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 8 + sum(wire_size(item) for item in obj)
-    if isinstance(obj, dict):
-        return 8 + sum(wire_size(k) + wire_size(v) for k, v in obj.items())
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return 8 + sum(wire_size(getattr(obj, f.name)) for f in fields(obj))
-    return 16
+    # Imported at call time: the codec's class registry imports the
+    # protocol modules, which import this one.
+    from repro.wire.framing import encode_body
 
-
-def cached_wire_size(obj: Any) -> int:
-    """:func:`wire_size` with per-object memoization.
-
-    For immutable objects that expose an instance dict (all CRDT payloads
-    do) the computed size is stored on the object, so broadcasting one
-    payload to N peers — or re-sending it on a timeout re-drive — sizes
-    it once instead of N times.  Wire sizes are structural (no hash
-    salting), so the memo is safe to keep across serialization.
-    """
-    d = getattr(obj, "__dict__", None)
-    if d is None:
-        return wire_size(obj)
-    cached = d.get("_cached_wire_size")
-    if cached is None:
-        cached = wire_size(obj)
-        try:
-            object.__setattr__(obj, "_cached_wire_size", cached)
-        except (AttributeError, TypeError):
-            pass  # slots-only or otherwise unwritable: just recompute
-    return cached
+    return len(encode_body(obj))
 
 
 @dataclass(frozen=True)

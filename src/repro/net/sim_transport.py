@@ -27,18 +27,6 @@ class Endpoint(Protocol):
     def deliver(self, envelope: Envelope) -> None: ...
 
 
-def _load_wire() -> None:
-    """Import :mod:`repro.wire`, installing exact codec-backed sizing.
-
-    Deferred to network construction: the wire tag registry imports the
-    protocol modules, so pulling it in while ``repro.crdt`` is still
-    initializing (this module is reachable from ``crdt.*`` via
-    ``net.message``) would be a circular import.  By the time anyone
-    builds a network, every protocol module is fully loaded.
-    """
-    import repro.wire  # noqa: F401
-
-
 class CallbackEndpoint:
     """Adapter turning a plain callable into an :class:`Endpoint`."""
 
@@ -88,7 +76,6 @@ class SimNetwork:
         faults: FaultPlan | None = None,
         fifo_links: bool = False,
     ) -> None:
-        _load_wire()
         self._sim = sim
         self._latency = latency or LogNormalLatency()
         self._rng = sim.rng.stream("network")

@@ -90,10 +90,10 @@ buffers unboundedly or retries a *message*; it supervises *links*:
   and redials: a fresh connection with a fresh decoder, so the poison
   never outlives the socket.
 
-* **Strict wire mode.**  Sends encode with ``strict=True`` by default:
-  an unregistered type raises :class:`SerializationError` *at the
-  sender* — only that message is dropped (``encode_errors``) — instead
-  of silently crossing the wire as a pickle blob.
+* **Unencodable messages.**  The wire codec has one mode: a message
+  holding a type it does not know raises :class:`SerializationError`
+  *at the sender*, and only that message is dropped (counted in
+  ``encode_errors``); everything else queued for the peer still flows.
 
 All of it is observable: :class:`~repro.net.control.NetStats` returns
 the fault counters next to the byte counters, and the process-level
@@ -187,16 +187,15 @@ class FrameStream(asyncio.Protocol):
     otherwise.  Each ``transport.write`` bumps ``owner.writes``.
 
     :meth:`send` and :meth:`send_frame` only queue; see the module
-    docstring's *Batching and ordering* section.  ``strict`` makes every
-    ``send`` refuse unregistered types at the encoder.
+    docstring's *Batching and ordering* section.
     """
 
     __slots__ = (
         "_owner", "_transport", "_decoder", "_armed", "_paused", "_error",
-        "outbox", "strict",
+        "outbox",
     )
 
-    def __init__(self, owner: Any, strict: bool = False, limit: int = _LIMIT):
+    def __init__(self, owner: Any, limit: int = _LIMIT):
         self._owner = owner
         self._transport: Any = None
         self._decoder = FrameDecoder()
@@ -205,7 +204,6 @@ class FrameStream(asyncio.Protocol):
         self._error: Exception | None = None
         #: Frames queued since the last write (or while paused).
         self.outbox: deque[bytes] = deque(maxlen=limit)
-        self.strict = strict
 
     # -- asyncio.Protocol ----------------------------------------------
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -241,7 +239,7 @@ class FrameStream(asyncio.Protocol):
     # -- sending -------------------------------------------------------
     def send(self, message: Any) -> None:
         """Encode and queue one frame."""
-        self.send_frame(encode_frame(message, strict=self.strict))
+        self.send_frame(encode_frame(message))
 
     def send_frame(self, frame: bytes) -> int:
         """Queue encoded bytes for this turn's write (raw garbage rides
@@ -283,11 +281,11 @@ class FrameStream(asyncio.Protocol):
 
 
 async def open_stream(
-    host: str, port: int, owner: Any, strict: bool = False, limit: int = _LIMIT
+    host: str, port: int, owner: Any, limit: int = _LIMIT
 ) -> FrameStream:
     """Dial ``host:port``; the one seam every outbound connection uses."""
     _, stream = await asyncio.get_running_loop().create_connection(
-        lambda: FrameStream(owner, strict, limit), host, port
+        lambda: FrameStream(owner, limit), host, port
     )
     return stream
 
@@ -335,14 +333,12 @@ class StreamNodeServer:
         port: int,
         peers: dict[str, tuple[str, int]] | None = None,
         policy: SupervisionPolicy | None = None,
-        strict: bool = True,
     ) -> None:
         self.node = node
         self.host = host
         self.port = port
         self.peers = dict(peers or {})
         self.policy = policy or SupervisionPolicy()
-        self.strict = strict
         self._server: asyncio.AbstractServer | None = None
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self._routes: dict[str, FrameStream] = {}
@@ -371,8 +367,8 @@ class StreamNodeServer:
         self.backoff_resets = 0
         #: Frames shed by full outboxes (drop-oldest).
         self.outbox_shed = 0
-        #: Strict-mode sends refused at the encoder (message dropped,
-        #: everything else flows) — a code bug, loudly countable.
+        #: Sends refused at the encoder (message dropped, everything
+        #: else flows) — a code bug, loudly countable.
         self.encode_errors = 0
 
     def link_health(self) -> dict[str, dict[str, float | bool | int]]:
@@ -405,7 +401,7 @@ class StreamNodeServer:
         self.apply_effects(self.node.on_start(loop.time()))
 
     def _accept(self) -> FrameStream:
-        stream = FrameStream(self, self.strict, self.policy.outbox_limit)
+        stream = FrameStream(self, self.policy.outbox_limit)
         self._inbound.add(stream)
         return stream
 
@@ -559,12 +555,10 @@ class StreamNodeServer:
             frame = self._last_frame
         else:
             try:
-                frame = encode_frame(
-                    (self.node.node_id, message), strict=self.strict
-                )
+                frame = encode_frame((self.node.node_id, message))
             except SerializationError:
                 self.encode_errors += 1
-                return  # strict mode refused the message at the encoder
+                return  # the codec refused the message
             self._last_message, self._last_frame = message, frame
         if stream is not None:
             self._hand(stream, frame)
@@ -616,8 +610,7 @@ class StreamNodeServer:
                     self.redials += 1
                 try:
                     stream = await open_stream(
-                        *placement, self, strict=self.strict,
-                        limit=self.policy.outbox_limit,
+                        *placement, self, limit=self.policy.outbox_limit
                     )
                 except (ConnectionError, OSError):
                     self._arm_backoff(dst, link)
@@ -658,13 +651,11 @@ class StreamClient:
         self,
         client_id: str,
         replicas: dict[str, tuple[str, int]],
-        strict: bool = True,
         preferred: str | None = None,
     ) -> None:
         self.client_id = client_id
         self._replicas = dict(replicas)
         self._order = sorted(replicas)
-        self.strict = strict
         self._streams: dict[str, FrameStream] = {}
         #: The one in-flight dial per replica, shared by concurrent callers.
         self._dials: dict[str, asyncio.Task] = {}
@@ -700,7 +691,7 @@ class StreamClient:
             if placement is None:
                 raise TransportError(f"unknown replica {replica!r}")
             try:
-                stream = await open_stream(*placement, self, strict=self.strict)
+                stream = await open_stream(*placement, self)
             except (ConnectionError, OSError) as exc:
                 raise TransportError(
                     f"dial to replica {replica!r} at {placement} failed: {exc}"

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.crdt.serialize import encode_frozen
-from repro.storage.base import SpillRecord, SpillStore
+from repro.storage.base import SpillRecord, SpillStore, encode_record
 
 
 class LatencySpillStore(SpillStore):
@@ -68,13 +67,7 @@ class LatencySpillStore(SpillStore):
             if before is not None:
                 written = self.delegate.bytes_written - before
             elif fallback_record is not None:  # unfamiliar backend
-                written = len(
-                    encode_frozen(
-                        fallback_record.state,
-                        fallback_record.round,
-                        fallback_record.learned_max,
-                    )
-                )
+                written = len(encode_record(fallback_record))
             else:
                 written = 0
             cost += written * self.per_byte_seconds

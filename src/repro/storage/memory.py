@@ -1,19 +1,26 @@
 """In-memory spill backend for tests and the adversarial explorer.
 
-Byte-faithful on purpose: records round-trip through the
-:mod:`repro.crdt.serialize` codec on every ``put``/``get`` even though a
-dict of live objects would do, so a payload that cannot survive
-encoding fails in the in-memory tests — not only once a file backend is
-attached.  It also means a rehydrated payload is never the *same
-object* the replica spilled, exactly like a disk read.
+Byte-faithful on purpose: records and meta round-trip through the wire
+codec (:func:`~repro.storage.base.encode_record`) on every write and
+read even though a dict of live objects would do, so a value that cannot
+survive encoding fails in the in-memory tests — not only once a file
+backend is attached.  A rehydrated payload is the one a disk read would
+give: a fresh object, or — for a payload large enough to travel as an
+interned blob — the equal payload already resident in this process.
 """
 
 from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.crdt.serialize import decode_frozen, encode_frozen
-from repro.storage.base import SpillRecord, SpillStore
+from repro.storage.base import (
+    SpillRecord,
+    SpillStore,
+    decode_meta,
+    decode_record,
+    encode_meta,
+    encode_record,
+)
 
 
 class InMemorySpillStore(SpillStore):
@@ -21,7 +28,7 @@ class InMemorySpillStore(SpillStore):
 
     def __init__(self) -> None:
         self._records: dict[Hashable, bytes] = {}
-        self._meta: dict[str, Any] | None = None
+        self._meta: bytes | None = None
         #: Observability (mirrors SegmentedSpillStore's counters).
         self.puts = 0
         self.gets = 0
@@ -29,7 +36,7 @@ class InMemorySpillStore(SpillStore):
 
     # ------------------------------------------------------------------
     def put(self, key: Hashable, record: SpillRecord) -> None:
-        data = encode_frozen(record.state, record.round, record.learned_max)
+        data = encode_record(record)
         self._records[key] = data
         self.puts += 1
         self.bytes_written += len(data)
@@ -39,8 +46,7 @@ class InMemorySpillStore(SpillStore):
         if data is None:
             return None
         self.gets += 1
-        state, round_, learned_max = decode_frozen(data)
-        return SpillRecord(state, round_, learned_max)
+        return decode_record(data)
 
     def delete(self, key: Hashable) -> bool:
         return self._records.pop(key, None) is not None
@@ -56,10 +62,10 @@ class InMemorySpillStore(SpillStore):
 
     # ------------------------------------------------------------------
     def put_meta(self, meta: dict[str, Any]) -> None:
-        self._meta = dict(meta)
+        self._meta = encode_meta(meta)
 
     def get_meta(self) -> dict[str, Any] | None:
-        return dict(self._meta) if self._meta is not None else None
+        return decode_meta(self._meta) if self._meta is not None else None
 
     # ------------------------------------------------------------------
     def stored_bytes(self) -> int:

@@ -23,17 +23,34 @@ step loop to completion over every sealed segment.
 
 Frame format (all integers little-endian)::
 
-    magic   2 bytes  b"SG"
+    magic   2 bytes  b"Sw"
     kind    1 byte   b"R" record | b"D" delete tombstone | b"M" meta
     crc32   4 bytes  zlib.crc32 of body
     length  4 bytes  body length
     body    length bytes
 
-Record bodies are ``u32 key-length + encoded key + encoded frozen
-record`` (:mod:`repro.crdt.serialize`); tombstone bodies are the encoded
-key; meta bodies are a pickled dict.  The CRC is verified on every read
-and during the recovery scan, so a corrupted record is rejected before
-any unpickling happens.
+Every body is made of wire bodies (:mod:`repro.wire`): a record body is
+``u32 key-length + encoded key + encoded record``
+(:func:`~repro.storage.base.encode_record`, the body of the
+``(payload, round, learned-max)`` triple — a large payload is stored as
+the very blob it travels as); a tombstone body is the encoded key; a
+meta body is the encoded meta dict.  The CRC is verified on every read
+and during the recovery scan, so a corrupted frame is rejected before
+any decoding happens; a CRC-valid body the codec refuses is
+:class:`~repro.errors.SpillCorruption` too.
+
+Segments written in the retired pickle format (frame magic ``b"SG"``)
+are refused with :class:`~repro.errors.SpillCorruption` naming that
+format, before anything is read into the index or truncated: the scan
+must not mistake a whole readable segment for a torn tail.
+
+Directory fsync points.  A segment's frames are only durable once its
+directory entry is, so the first :meth:`flush` after a segment file is
+created (on open and on every rotation) fsyncs the directory after the
+file; a compaction victim's unlink is followed by a directory fsync at
+once, so a victim whose tombstones were dropped cannot reappear after a
+power loss and resurrect the keys they deleted.  No other flush touches
+the directory.
 
 Recovery scan semantics (:class:`SegmentedSpillStore` constructor):
 segments are replayed in order and the index is rebuilt, last frame per
@@ -50,16 +67,23 @@ from __future__ import annotations
 
 import os
 import pathlib
-import pickle
 import struct
 import zlib
 from typing import Any, Hashable
 
-from repro.crdt.serialize import decode_frozen, decode_key, encode_frozen, encode_key
-from repro.errors import SpillCorruption
-from repro.storage.base import SpillRecord, SpillStore
+from repro.errors import SerializationError, SpillCorruption
+from repro.storage.base import (
+    SpillRecord,
+    SpillStore,
+    decode_meta,
+    decode_record,
+    encode_meta,
+    encode_record,
+)
 
-_MAGIC = b"SG"
+_MAGIC = b"Sw"
+#: Frame magic of the retired pickle format; such segments are refused.
+_PICKLE_MAGIC = b"SG"
 _KIND_RECORD = b"R"
 _KIND_DELETE = b"D"
 _KIND_META = b"M"
@@ -72,6 +96,28 @@ _COMPACT_FLOOR_BYTES = 64 * 1024
 
 def _frame(kind: bytes, body: bytes) -> bytes:
     return _HEADER.pack(_MAGIC, kind, zlib.crc32(body), len(body)) + body
+
+
+# The key codec is imported at call time: the codec's class registry
+# imports the keyed replica, which imports the storage package.
+def _encode_key(key: Hashable) -> bytes:
+    from repro.wire.keys import encode_key
+
+    return encode_key(key)
+
+
+def _decode_key(data: bytes) -> Any:
+    from repro.wire.keys import decode_key
+
+    return decode_key(data)
+
+
+def _decode(decode: Any, data: bytes, what: str, path: pathlib.Path) -> Any:
+    """Run one body decoder; a body the codec refuses is corruption."""
+    try:
+        return decode(data)
+    except SerializationError as exc:
+        raise SpillCorruption(f"undecodable {what} in {path}: {exc}") from exc
 
 
 class _Segment:
@@ -122,6 +168,8 @@ class SegmentedSpillStore(SpillStore):
         self._meta_address: tuple[int, int] | None = None
         self._active_id = 0
         self._active_file = None
+        #: The active segment's directory entry has not been fsynced.
+        self._entry_unsynced = False
         self._read_handles: dict[int, Any] = {}
         self._closed = False
         #: In-progress incremental compaction: victim segment id, a
@@ -173,6 +221,12 @@ class SegmentedSpillStore(SpillStore):
         segment = _Segment(path)
         self._segments[segment_id] = segment
         data = path.read_bytes()
+        if data.startswith(_PICKLE_MAGIC):
+            raise SpillCorruption(
+                f"{path} is a segment in the retired pickle spill format "
+                f"(frame magic {_PICKLE_MAGIC!r}); this build reads only "
+                f"wire-codec segments (frame magic {_MAGIC!r})"
+            )
         offset = 0
         while offset < len(data):
             frame = self._parse_frame(data, offset)
@@ -220,25 +274,28 @@ class SegmentedSpillStore(SpillStore):
     ) -> None:
         segment = self._segments[segment_id]
         if kind == _KIND_META:
-            try:
-                self._meta = pickle.loads(body)
-            except Exception as exc:
-                raise SpillCorruption(f"undecodable meta frame in {path}") from exc
+            self._meta = _decode(decode_meta, body, "meta frame", path)
             self._meta_address = (segment_id, offset)
             return
         if kind == _KIND_DELETE:
-            key = decode_key(body)
+            key = _decode(_decode_key, body, "tombstone key", path)
             previous = self._index.pop(key, None)
             if previous is not None:
                 self._segments[previous[0]].live -= previous[2]
             return
-        (key_len,) = struct.unpack_from("<I", body, 0)
-        key = decode_key(body[4 : 4 + key_len])
+        key = self._record_key(body, path)
         previous = self._index.get(key)
         if previous is not None:
             self._segments[previous[0]].live -= previous[2]
         self._index[key] = (segment_id, offset, frame_len)
         segment.live += frame_len
+
+    @staticmethod
+    def _record_key(body: bytes, path: pathlib.Path) -> Any:
+        if len(body) < 4:
+            raise SpillCorruption(f"record body too short for a key in {path}")
+        (key_len,) = struct.unpack_from("<I", body, 0)
+        return _decode(_decode_key, body[4 : 4 + key_len], "record key", path)
 
     # ------------------------------------------------------------------
     # Write path
@@ -247,6 +304,7 @@ class SegmentedSpillStore(SpillStore):
         path = self._segment_path(self._active_id)
         self._segments.setdefault(self._active_id, _Segment(path))
         self._active_file = open(path, "ab")
+        self._entry_unsynced = True
 
     def _seal_active(self) -> None:
         """Close the active segment for good and open the next one.
@@ -282,12 +340,8 @@ class SegmentedSpillStore(SpillStore):
         return self._active_id, offset, len(frame)
 
     def put(self, key: Hashable, record: SpillRecord) -> None:
-        key_bytes = encode_key(key)
-        body = (
-            struct.pack("<I", len(key_bytes))
-            + key_bytes
-            + encode_frozen(record.state, record.round, record.learned_max)
-        )
+        key_bytes = _encode_key(key)
+        body = struct.pack("<I", len(key_bytes)) + key_bytes + encode_record(record)
         previous = self._index.get(key)
         segment_id, offset, frame_len = self._append(_KIND_RECORD, body)
         self._index[key] = (segment_id, offset, frame_len)
@@ -305,15 +359,13 @@ class SegmentedSpillStore(SpillStore):
             return False
         self._segments[previous[0]].live -= previous[2]
         self._live_bytes -= previous[2]
-        self._append(_KIND_DELETE, encode_key(key))
+        self._append(_KIND_DELETE, _encode_key(key))
         self._maybe_compact()
         return True
 
     def put_meta(self, meta: dict[str, Any]) -> None:
         self._meta = dict(meta)
-        segment_id, offset, _ = self._append(
-            _KIND_META, pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        segment_id, offset, _ = self._append(_KIND_META, encode_meta(meta))
         self._meta_address = (segment_id, offset)
         # Meta frames are never live (only the last one matters and it is
         # rewritten by compaction), so a checkpoint-only workload of
@@ -354,9 +406,15 @@ class SegmentedSpillStore(SpillStore):
             )
         _, body, _ = frame
         (key_len,) = struct.unpack_from("<I", body, 0)
-        state, round_, learned_max = decode_frozen(body[4 + key_len :])
+        try:
+            record = decode_record(body[4 + key_len :])
+        except SerializationError as exc:
+            raise SpillCorruption(
+                f"undecodable record in {self._segment_path(segment_id)} "
+                f"at offset {offset}: {exc}"
+            ) from exc
         self.gets += 1
-        return SpillRecord(state, round_, learned_max)
+        return record
 
     def keys(self) -> list[Hashable]:
         return list(self._index)
@@ -436,8 +494,7 @@ class SegmentedSpillStore(SpillStore):
             self._compact_offset += frame_len
             budget -= frame_len
             if kind == _KIND_RECORD:
-                (key_len,) = struct.unpack_from("<I", body, 0)
-                key = decode_key(body[4 : 4 + key_len])
+                key = self._record_key(body, victim.path)
                 if self._index.get(key) == (victim_id, offset, frame_len):
                     victim.live -= frame_len
                     self._live_bytes -= frame_len
@@ -466,6 +523,7 @@ class SegmentedSpillStore(SpillStore):
             victim.path.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
+        self._sync_directory()
         self._compact_victim = None
         self._compact_data = b""
         self._compact_offset = 0
@@ -499,6 +557,18 @@ class SegmentedSpillStore(SpillStore):
         if self._active_file is not None and not self._active_file.closed:
             self._active_file.flush()
             os.fsync(self._active_file.fileno())
+            if self._entry_unsynced:
+                self._sync_directory()
+                self._entry_unsynced = False
+
+    def _sync_directory(self) -> None:
+        """Make the directory's entries (created or unlinked segment
+        files) durable."""
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def close(self) -> None:
         if self._closed:

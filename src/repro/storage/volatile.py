@@ -18,8 +18,14 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.crdt.serialize import decode_frozen, encode_frozen
-from repro.storage.base import SpillRecord, SpillStore
+from repro.storage.base import (
+    SpillRecord,
+    SpillStore,
+    decode_meta,
+    decode_record,
+    encode_meta,
+    encode_record,
+)
 
 #: Overlay sentinel for a buffered (not yet durable) delete.
 _TOMBSTONE = object()
@@ -33,7 +39,7 @@ class VolatileSpillStore(SpillStore):
         #: key → encoded record | _TOMBSTONE, in write order (dict is
         #: ordered) — bytes, like the cache of a real disk would hold.
         self._buffer: dict[Hashable, Any] = {}
-        self._meta_buffer: dict[str, Any] | None = None
+        self._meta_buffer: bytes | None = None
         #: Observability.
         self.puts = 0
         self.flushes = 0
@@ -46,9 +52,7 @@ class VolatileSpillStore(SpillStore):
     def put(self, key: Hashable, record: SpillRecord) -> None:
         # Re-insert so flush replays in last-write order.
         self._buffer.pop(key, None)
-        self._buffer[key] = encode_frozen(
-            record.state, record.round, record.learned_max
-        )
+        self._buffer[key] = encode_record(record)
         self.puts += 1
 
     def get(self, key: Hashable) -> SpillRecord | None:
@@ -56,8 +60,7 @@ class VolatileSpillStore(SpillStore):
         if buffered is _TOMBSTONE:
             return None
         if buffered is not None:
-            state, round_, learned_max = decode_frozen(buffered)
-            return SpillRecord(state, round_, learned_max)
+            return decode_record(buffered)
         return self.delegate.get(key)
 
     def delete(self, key: Hashable) -> bool:
@@ -88,11 +91,11 @@ class VolatileSpillStore(SpillStore):
 
     # ------------------------------------------------------------------
     def put_meta(self, meta: dict[str, Any]) -> None:
-        self._meta_buffer = dict(meta)
+        self._meta_buffer = encode_meta(meta)
 
     def get_meta(self) -> dict[str, Any] | None:
         if self._meta_buffer is not None:
-            return dict(self._meta_buffer)
+            return decode_meta(self._meta_buffer)
         return self.delegate.get_meta()
 
     # ------------------------------------------------------------------
@@ -102,11 +105,10 @@ class VolatileSpillStore(SpillStore):
             if value is _TOMBSTONE:
                 self.delegate.delete(key)
             else:
-                state, round_, learned_max = decode_frozen(value)
-                self.delegate.put(key, SpillRecord(state, round_, learned_max))
+                self.delegate.put(key, decode_record(value))
         self._buffer.clear()
         if self._meta_buffer is not None:
-            self.delegate.put_meta(self._meta_buffer)
+            self.delegate.put_meta(decode_meta(self._meta_buffer))
             self._meta_buffer = None
         self.delegate.flush()
         self.flushes += 1

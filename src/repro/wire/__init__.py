@@ -1,4 +1,13 @@
-"""repro.wire — the binary wire stack.
+"""repro.wire — the binary wire stack, and the one codec.
+
+Everything that turns a value into bytes, or asks how many bytes a value
+is, goes through this package: socket and in-process frames, spill
+records and store meta on disk (:mod:`repro.storage`), spill keys and
+ring placement, state digests, and the byte accounting of every
+simulated network (:func:`repro.net.message.wire_size` is the length of
+the encoded body).  There is no second serializer and no estimator, so a
+payload's spilled bytes and its wire bytes are the same bytes, and a
+value the codec cannot encode can neither be sent, stored nor counted.
 
 Wire format & delta replication
 ===============================
@@ -74,25 +83,19 @@ process references its payload (an acceptor's state, an open batch, a
 recorded history) and vanishes with it, so the table has no size limit
 and needs none.  Its key is the payload's own memoised blob object, so
 an entry holds no second copy of the bytes.  Sub-crossover payloads
-never enter it.  The blob slot is ``_crdt_``-prefixed, so pickling a
-payload into a spill record leaves it behind.
+never enter it.  A spill record holds its payload in this same
+encoding, so persisting a large state already sent is a copy of its
+blob, and rehydrating it while an equal state is resident returns that
+resident object.
 
-**What stays canonical.**  A blob is always a *strict* encoding — the
-encoder attempts payload bodies strict whatever the caller asked for,
-and a payload holding an unregistered value gets the bare, un-memoised
-encoding on a non-strict send and an error on a strict one — so no
-pickle can reach a strict socket through a cached blob, and equal
-payloads have equal blobs in every process under every hash seed.
-Digests, ring placement and spill keys remain functions of canonical
-bytes alone.
-Interning is invisible to the protocol: a hit and a parse return equal
-payloads, and equal payloads answer every query alike.
+Equal payloads have equal blobs in every process under every hash seed,
+so digests, ring placement and spill keys are functions of canonical
+bytes alone.  Interning is invisible to the protocol: a hit and a parse
+return equal payloads, and equal payloads answer every query alike.
 
-**Exact sizing** (:mod:`repro.wire.sizer`).  Importing this package
-installs :func:`~repro.wire.sizer.exact_wire_size` into
-:func:`repro.net.message.wire_size`, so simulator byte accounting
-reports real encoded lengths for every registered message instead of
-structural estimates (unregistered objects keep the estimator).
+**Sizing.**  :func:`repro.net.message.wire_size` (re-exported here as
+``exact_wire_size``) is ``len(encode_body(value))``: simulator byte
+accounting reports the real encoded length of every message.
 
 **Stable keys & digests** (:mod:`repro.wire.keys`,
 :mod:`repro.wire.digest`).  ``encode_key`` gives spill files and the
@@ -130,12 +133,9 @@ from repro.wire.framing import (
     encode_frame,
 )
 from repro.wire.keys import decode_key, encode_key, stable_key_hash
-from repro.wire.sizer import exact_wire_size
 from repro.wire.values import SIZED_CROSSOVER, registered_classes, spec_for
 
-from repro.net.message import install_exact_sizer as _install
-
-_install(exact_wire_size)
+from repro.net.message import wire_size as exact_wire_size
 
 __all__ = [
     "SIZED_CROSSOVER",

@@ -39,38 +39,35 @@ _CRC_BYTES = 4
 _read_crc = struct.Struct(">I").unpack_from
 
 
-def encode_body(message: Any, strict: bool = False) -> bytes:
-    """Encode a message body (no frame) — the unit wire sizes measure.
-
-    ``strict`` forbids the pickle escape hatch: an unregistered type
-    raises :class:`SerializationError` at the sender instead of silently
-    bloating the frame with a non-canonical pickle blob.  The socket
-    path (:mod:`repro.net.stream`) runs strict by default.
-    """
+def encode_body(message: Any) -> bytes:
+    """Encode one value as a bare body (no frame): what a frame carries,
+    what a spill record or store meta frame stores, and what
+    :func:`repro.net.message.wire_size` measures.  A type the codec does
+    not know raises :class:`SerializationError`."""
     out = bytearray()
-    encode_value(message, out, strict)
+    encode_value(message, out)
     return bytes(out)
 
 
 def decode_body(data) -> Any:
-    """Decode one message body; trailing bytes are an error."""
+    """Decode one body; trailing bytes are an error."""
     value, pos = decode_value(data, 0)
     if pos != len(data):
         raise SerializationError(f"{len(data) - pos} trailing bytes in body")
     return value
 
 
-def encode_frame(message: Any, strict: bool = False) -> bytes:
+def encode_frame(message: Any, strict: bool = True) -> bytes:
     """Encode ``message`` as one self-delimiting checked frame.
 
-    ``strict`` is threaded through to the value encoder: unregistered
-    types fail loudly at the sender rather than falling back to pickle.
+    ``strict`` has no effect — every encode refuses types the codec does
+    not know — and is accepted so that callers passing it keep working.
 
     The body is encoded into one buffer, checksummed where it lies, and
     copied once — into the frame, between its header and its CRC.
     """
     body = bytearray()
-    encode_value(message, body, strict)
+    encode_value(message, body)
     header = bytearray(_PREFIX)
     write_uvarint(header, len(body))
     return b"".join((header, body, zlib.crc32(body).to_bytes(_CRC_BYTES, "big")))

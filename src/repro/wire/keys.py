@@ -8,50 +8,31 @@ Python versions, hash seeds, and OS processes:
 * consistent-hash routing (:mod:`repro.sharding.routing`) places keys
   on the ring by an integer digest of the key.
 
-Raw pickle (the former key codec) is neither canonical nor stable —
-and ``repr``-based hashing breaks on any container whose iteration
-order depends on the per-process hash seed (frozensets).  Here keys are
-encoded with the strict tagged value codec: scalars, tuples and
-frozensets get one canonical byte string everywhere.  Keys outside that
-shape fall back to a marked pickle encoding — they still round-trip,
-but only canonical keys are guaranteed identical across processes (the
-keyed deployments in this repository use strings, ints and tuples
-throughout).
+``repr``-based hashing breaks on any container whose iteration order
+depends on the per-process hash seed (frozensets).  Here a key is the
+wire body of its value: scalars, tuples and frozensets get one
+canonical byte string everywhere, and a key of any other shape is
+refused with :class:`~repro.errors.SerializationError` rather than
+given bytes that could differ between processes.
 """
 
 from __future__ import annotations
 
-import pickle
 import zlib
 from typing import Any, Hashable
 
-from repro.errors import SerializationError
-from repro.wire.values import decode_bytes, encode_value
-
-#: Prefix for the non-canonical pickle fallback; the strict value codec
-#: never emits 0xFF as a leading tag, so the namespaces cannot collide.
-_FALLBACK = b"\xff"
+from repro.wire.framing import decode_body, encode_body
 
 
 def encode_key(key: Hashable) -> bytes:
-    """Encode a store key; canonical for every hashable value shape the
-    deployments use (None/bool/int/float/str/bytes/tuple/frozenset)."""
-    out = bytearray()
-    try:
-        encode_value(key, out, strict=True)
-    except SerializationError:
-        return _FALLBACK + pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
-    return bytes(out)
+    """Encode a store key (None/bool/int/float/str/bytes/tuple/frozenset
+    or a registered class)."""
+    return encode_body(key)
 
 
 def decode_key(data: bytes) -> Any:
     """Invert :func:`encode_key`."""
-    if data[:1] == _FALLBACK:
-        try:
-            return pickle.loads(data[1:])
-        except Exception as exc:
-            raise SerializationError(f"undecodable spill key: {exc!r}") from exc
-    return decode_bytes(data)
+    return decode_body(data)
 
 
 def stable_key_hash(key: Hashable) -> int:

@@ -12,8 +12,7 @@ plan is compiled here, at registration):
 
 * frozen dataclasses (CRDT payloads, protocol/baseline messages,
   :class:`~repro.core.rounds.Round`, keyed wrappers) — fields are the
-  dataclass ``init`` fields, so memo slots (``_size``) are reinitialized
-  by the generated ``__init__``;
+  dataclass ``init`` fields;
 * slotted op classes (update/query functions) — fields are the
   ``__slots__`` chain, which their constructors take in order;
 * field-less ops (``Elements()``, ``IdentityQuery()``, …) — a bare tag.
@@ -43,6 +42,7 @@ from repro.crdt import (
     twophase_set,
     vector_clock,
 )
+from repro.baselines import common as baseline_common
 from repro.baselines.gla import node as gla_node
 from repro.baselines.multipaxos import messages as mp_messages
 from repro.baselines.raft import log as raft_log
@@ -193,5 +193,10 @@ for _cls in (
     net_control.SeverDone,
     net_control.GarbageInject,
     net_control.GarbageInjectDone,
+    baseline_common.RsmUpdate,
+    baseline_common.RsmQuery,
+    baseline_common.RsmUpdateDone,
+    baseline_common.RsmQueryDone,
+    baseline_common.Forwarded,
 ):
     _register_dataclass(_cls)

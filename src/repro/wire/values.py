@@ -13,9 +13,10 @@ digest-based anti-entropy all hash encoded bytes): unordered containers
 byte string, which is stable across processes and hash seeds where
 ``repr`` and salted ``hash`` iteration order are not.
 
-Values outside the registered/scalar/container world fall back to a
-pickle escape hatch — correct but neither compact nor cross-process
-canonical; protocol-critical values never need it.
+There is one mode: a value outside the registered/scalar/container
+world has no encoding and raises :class:`~repro.errors.SerializationError`
+at the encoder, and the decoder builds nothing but scalars, containers
+and registered classes.
 
 **Sized payloads.**  A registered :class:`~repro.crdt.base.StateCRDT`
 whose encoded body reaches :data:`SIZED_CROSSOVER` bytes is written as
@@ -34,7 +35,6 @@ registered, so decoding a frame costs about what encoding it did.
 
 from __future__ import annotations
 
-import pickle
 import struct
 from typing import Any, Callable
 
@@ -54,7 +54,8 @@ T_LIST = 8
 T_FROZENSET = 9
 T_DICT = 10
 T_OBJ = 11
-T_PICKLE = 12
+#: Tag 12 is retired (it once marked a pickled value) and must never be
+#: reassigned: the decoder rejects it as an unknown tag.
 T_SIZED = 13
 
 #: Payload bodies of at least this many encoded bytes travel as sized
@@ -139,11 +140,11 @@ def spec_for(cls: type) -> ClassSpec | None:
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
-def encode_value(value: Any, out: bytearray, strict: bool = False) -> None:
+def encode_value(value: Any, out: bytearray) -> None:
     """Append the tagged encoding of ``value`` to ``out``.
 
-    ``strict`` forbids the pickle fallback — used for key encoding,
-    where a silently unstable byte string would corrupt ring placement.
+    A value of a type the codec does not know raises
+    :class:`SerializationError`.
     """
     if value is None:
         out.append(T_NONE)
@@ -175,19 +176,19 @@ def encode_value(value: Any, out: bytearray, strict: bool = False) -> None:
         out.append(T_TUPLE)
         write_uvarint(out, len(value))
         for item in value:
-            encode_value(item, out, strict)
+            encode_value(item, out)
         return
     if kind is list:
         out.append(T_LIST)
         write_uvarint(out, len(value))
         for item in value:
-            encode_value(item, out, strict)
+            encode_value(item, out)
         return
     if kind is frozenset:
         chunks = []
         for item in value:
             chunk = bytearray()
-            encode_value(item, chunk, strict)
+            encode_value(item, chunk)
             chunks.append(bytes(chunk))
         chunks.sort()
         out.append(T_FROZENSET)
@@ -199,9 +200,9 @@ def encode_value(value: Any, out: bytearray, strict: bool = False) -> None:
         pairs = []
         for key, item in value.items():
             encoded_key = bytearray()
-            encode_value(key, encoded_key, strict)
+            encode_value(key, encoded_key)
             encoded_item = bytearray()
-            encode_value(item, encoded_item, strict)
+            encode_value(item, encoded_item)
             pairs.append((bytes(encoded_key), bytes(encoded_item)))
         pairs.sort()
         out.append(T_DICT)
@@ -211,62 +212,36 @@ def encode_value(value: Any, out: bytearray, strict: bool = False) -> None:
             out += encoded_item
         return
     spec = _SPECS_BY_CLASS.get(kind)
-    if spec is not None:
-        if spec.sized:
-            _encode_payload(value, spec, out, strict)
-            return
-        out.append(T_OBJ)
-        write_uvarint(out, spec.tag)
-        write_uvarint(out, len(spec.fields))
-        for name in spec.fields:
-            encode_value(getattr(value, name), out, strict)
+    if spec is None:
+        raise SerializationError(f"{kind.__name__} has no wire encoding")
+    if spec.sized:
+        _encode_payload(value, spec, out)
         return
-    if strict:
-        raise SerializationError(
-            f"{kind.__name__} has no canonical wire encoding"
-        )
-    data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    out.append(T_PICKLE)
-    write_uvarint(out, len(data))
-    out += data
+    out.append(T_OBJ)
+    write_uvarint(out, spec.tag)
+    write_uvarint(out, len(spec.fields))
+    for name in spec.fields:
+        encode_value(getattr(value, name), out)
 
 
-def _encode_fields(
-    value: StateCRDT, spec: ClassSpec, out: bytearray, strict: bool
-) -> None:
+def _encode_fields(value: StateCRDT, spec: ClassSpec, out: bytearray) -> None:
     """The bare ``T_OBJ`` encoding of a payload (as for any other
     registered class in :func:`encode_value`, which inlines it)."""
     out.append(T_OBJ)
     write_uvarint(out, spec.tag)
     write_uvarint(out, len(spec.fields))
     for name in spec.fields:
-        encode_value(getattr(value, name), out, strict)
+        encode_value(getattr(value, name), out)
 
 
-def _encode_payload(
-    value: StateCRDT, spec: ClassSpec, out: bytearray, strict: bool
-) -> None:
+def _encode_payload(value: StateCRDT, spec: ClassSpec, out: bytearray) -> None:
     """Encode a CRDT payload: the memoised blob if it has one, else its
     body — promoted to a sized blob and memoised when it reaches
-    :data:`SIZED_CROSSOVER`.
-
-    Bodies are always attempted strict, whatever the caller asked for, so
-    a memoised blob never contains a pickle and can be served to strict
-    and non-strict sends alike.  A payload holding an unregistered value
-    fails a strict send here and gives a non-strict one the bare
-    un-memoised encoding.
-    """
+    :data:`SIZED_CROSSOVER`."""
     blob = value.wire_blob()
     if blob is None:
         start = len(out)
-        try:
-            _encode_fields(value, spec, out, True)
-        except SerializationError:
-            del out[start:]
-            if strict:
-                raise
-            _encode_fields(value, spec, out, False)
-            return
+        _encode_fields(value, spec, out)
         if len(out) - start < SIZED_CROSSOVER:
             return
         with memoryview(out) as view:
@@ -279,13 +254,13 @@ def _encode_payload(
 
 
 def payload_blob(state: StateCRDT) -> bytes:
-    """The canonical (strict) body encoding of a registered payload —
-    the memoised blob when there is one, so fingerprinting a large
-    unchanged state costs no encode."""
+    """The canonical body encoding of a registered payload — the
+    memoised blob when there is one, so fingerprinting a large unchanged
+    state costs no encode."""
     blob = state.wire_blob()
     if blob is None:
         out = bytearray()
-        encode_value(state, out, True)
+        encode_value(state, out)
         blob = state.wire_blob() or bytes(out)  # memoised just now, or small
     return blob
 
@@ -409,17 +384,6 @@ def _read_object(buf, pos):
     return _PLANS[class_tag](buf, pos)
 
 
-def _read_pickle(buf, pos):
-    length, pos = read_uvarint(buf, pos)
-    end = pos + length
-    if end > len(buf):
-        raise SerializationError("truncated pickled value")
-    try:
-        return pickle.loads(buf[pos:end]), end
-    except Exception as exc:
-        raise SerializationError(f"undecodable fallback value: {exc!r}") from exc
-
-
 def _read_sized(buf, pos):
     """A sized payload blob: the resident payload with these bytes if
     there is one, else parse the blob and make the result resident."""
@@ -462,7 +426,6 @@ _DECODERS[T_LIST] = _read_list
 _DECODERS[T_FROZENSET] = _read_frozenset
 _DECODERS[T_DICT] = _read_dict
 _DECODERS[T_OBJ] = _read_object
-_DECODERS[T_PICKLE] = _read_pickle
 _DECODERS[T_SIZED] = _read_sized
 
 
@@ -533,21 +496,3 @@ def decode_value(buf, pos: int = 0) -> tuple[Any, int]:
         return _DECODERS[buf[pos]](buf, pos + 1)
     except _MALFORMED as exc:
         raise SerializationError(f"malformed wire value: {exc!r}") from exc
-
-
-def encode_bytes(value: Any, strict: bool = False) -> bytes:
-    """One-shot :func:`encode_value` into a fresh byte string."""
-    out = bytearray()
-    encode_value(value, out, strict)
-    return bytes(out)
-
-
-def decode_bytes(data) -> Any:
-    """One-shot :func:`decode_value`; the buffer must hold exactly one
-    value (trailing bytes are a framing error, not silently ignored)."""
-    value, pos = decode_value(data, 0)
-    if pos != len(data):
-        raise SerializationError(
-            f"{len(data) - pos} trailing bytes after wire value"
-        )
-    return value

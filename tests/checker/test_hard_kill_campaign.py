@@ -39,7 +39,7 @@ _SETTINGS = settings(
 #: in progress when the kill lands — the reopen then replays a directory
 #: with a half-drained victim and duplicate frames (last-wins).
 _SEGMENT_KW = dict(
-    segment_bytes=4096, compaction_step_bytes=1024, compact_floor_bytes=4096
+    segment_bytes=4096, compaction_step_bytes=1024, compact_floor_bytes=2048
 )
 
 

@@ -22,6 +22,7 @@ from repro.core.keyspace import Keyed, KeyedBatch, KeyedCrdtReplica
 from repro.core.messages import ClientUpdate, Merge
 from repro.crdt.gcounter import GCounter, Increment
 from repro.errors import ConfigurationError
+from repro.net.message import wire_size
 
 PEERS = ["r0", "r1", "r2"]
 
@@ -133,12 +134,12 @@ def test_parked_bytes_accounting_is_supersede_aware():
     for dst in ("r1", "r2"):
         (keyed,) = [
             k
-            for k in replica._outbox[dst].values()
+            for k, _ in replica._outbox[dst].values()
             if isinstance(k.message, Merge)
         ]
         # Exactly the live envelope's size — not stacked on the old one.
-        assert replica._parked_bytes[dst] == keyed.wire_size()
-        assert replica._parked_bytes[dst] < before[dst] + keyed.wire_size()
+        assert replica._parked_bytes[dst] == wire_size(keyed)
+        assert replica._parked_bytes[dst] < before[dst] + wire_size(keyed)
     assert replica.acceptor_stats.keyed_envelopes_superseded == 2
 
 

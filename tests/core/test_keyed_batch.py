@@ -6,7 +6,7 @@ from repro.core.config import CrdtPaxosConfig
 from repro.core.keyspace import Keyed, KeyedBatch, KeyedCrdtReplica
 from repro.core.messages import Merge
 from repro.crdt import GCounter, GCounterValue, Increment
-from repro.net.message import ENVELOPE_OVERHEAD_BYTES
+from repro.net.message import ENVELOPE_OVERHEAD_BYTES, wire_size
 
 PEERS = ["r0", "r1", "r2"]
 
@@ -117,7 +117,8 @@ class TestCoalescing:
             Keyed(key="b", message=Merge(request_id="m2", state=GCounter.initial())),
         ]
         batch = KeyedBatch(items=tuple(inner))
-        assert batch.wire_size() == 8 + sum(item.wire_size() for item in inner)
+        framing = wire_size(KeyedBatch(items=()))
+        assert wire_size(batch) == framing + sum(wire_size(item) for item in inner)
 
     def test_restart_rearms_flush_for_parked_traffic(self):
         replica = make_replica(keyed_coalesce_window=0.002)

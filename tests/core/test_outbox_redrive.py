@@ -32,7 +32,7 @@ def build_replica():
 def parked_merges(replica, dst):
     return [
         keyed
-        for keyed in replica._outbox.get(dst, {}).values()
+        for keyed, _ in replica._outbox.get(dst, {}).values()
         if isinstance(keyed.message, Merge)
     ]
 

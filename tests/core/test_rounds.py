@@ -8,6 +8,7 @@ from repro.core.rounds import (
     WRITE_ID,
     proposer_id,
 )
+from repro.net.message import wire_size
 
 
 def test_initial_round_is_zero_bottom():
@@ -76,4 +77,8 @@ def test_repr_shows_bottom_number():
 
 
 def test_wire_size_is_constant():
-    assert Round.initial().wire_size() == Round(99, proposer_id(5, 2)).wire_size()
+    # One counter and a fixed-shape id: the size depends on nothing the
+    # round has seen, only on the counter's varint width.
+    rid = proposer_id(5, 2)
+    assert wire_size(Round.initial()) == wire_size(Round(63, rid))
+    assert wire_size(Round(64, rid)) == wire_size(Round(8191, rid))

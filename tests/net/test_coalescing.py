@@ -58,8 +58,8 @@ class FakeTransport:
         return FrameDecoder().feed(b"".join(self.writes))
 
 
-def connected(owner, strict=True, limit=512):
-    stream = FrameStream(owner, strict, limit)
+def connected(owner, limit=512):
+    stream = FrameStream(owner, limit)
     stream.connection_made(FakeTransport(stream))
     return stream
 
@@ -105,8 +105,8 @@ def fake_dials(monkeypatch):
     """``open_stream`` hands out real streams on fake transports."""
     dialed = []
 
-    async def dialer(host, port, owner, strict=False, limit=512):
-        stream = connected(owner, strict, limit)
+    async def dialer(host, port, owner, limit=512):
+        stream = connected(owner, limit)
         dialed.append(stream)
         return stream
 
@@ -163,9 +163,9 @@ def test_frames_parked_before_connect_leave_first_and_fifo_holds(monkeypatch):
         opened = asyncio.Event()
         dialed = []
 
-        async def slow_dialer(host, port, owner, strict=False, limit=512):
+        async def slow_dialer(host, port, owner, limit=512):
             await opened.wait()
-            dialed.append(connected(owner, strict, limit))
+            dialed.append(connected(owner, limit))
             return dialed[0]
 
         monkeypatch.setattr(stream_mod, "open_stream", slow_dialer)
@@ -422,12 +422,12 @@ def test_close_flushes_what_is_queued():
 def test_concurrent_first_callers_share_one_dial(monkeypatch):
     dials = []
 
-    async def slow_dialer(host, port, owner, strict=False, limit=512):
+    async def slow_dialer(host, port, owner, limit=512):
         dials.append(port)
         await asyncio.sleep(0.01)
         if port == 2:
             raise ConnectionRefusedError("nobody home")
-        return connected(owner, strict, limit)
+        return connected(owner, limit)
 
     monkeypatch.setattr(stream_mod, "open_stream", slow_dialer)
 

@@ -3,8 +3,9 @@
 Regression coverage for the socket stack's fault handling: fail-fast
 pending-future rejection when a client's connection dies, backoff-gated redial
 instead of a tight retry loop against a dead peer, dead-stream eviction,
-bounded drop-oldest outboxes, strict wire mode, and the transport fault
-counters behind :class:`~repro.net.control.NetStats`.
+bounded drop-oldest outboxes, refusal of unencodable messages at the
+sender, and the transport fault counters behind
+:class:`~repro.net.control.NetStats`.
 
 Tests that dial real loopback sockets use the established skip pattern;
 the supervisor-logic tests monkeypatch the dialer and run on a bare
@@ -68,7 +69,7 @@ def test_dial_failure_is_backoff_gated_not_tight_looped(monkeypatch):
     the attempts must be gated by the exponential backoff window."""
     attempts = []
 
-    async def refusing_dial(host, port, owner, strict=False, limit=0):
+    async def refusing_dial(host, port, owner, limit=0):
         attempts.append(time.perf_counter())
         raise ConnectionRefusedError("nobody home")
 
@@ -121,7 +122,7 @@ def test_send_failure_evicts_dead_stream_and_redials(monkeypatch):
 
     dials = []
 
-    async def dialer(host, port, owner, strict=False, limit=0):
+    async def dialer(host, port, owner, limit=0):
         stream = FlakyStream(owner)
         dials.append(stream)
         return stream
@@ -156,7 +157,7 @@ def test_outbox_is_bounded_with_drop_oldest_accounting(monkeypatch):
     """An unreachable-but-addressed peer must not grow memory without
     bound: beyond the limit the oldest message is shed and counted."""
 
-    async def refusing_dial(host, port, owner, strict=False, limit=0):
+    async def refusing_dial(host, port, owner, limit=0):
         raise ConnectionRefusedError("nobody home")
 
     monkeypatch.setattr(stream_mod, "open_stream", refusing_dial)
@@ -196,7 +197,7 @@ def test_messages_to_unknown_destinations_are_still_dropped():
 
 
 # ----------------------------------------------------------------------
-# Strict wire mode
+# Unencodable messages are refused at the sender
 # ----------------------------------------------------------------------
 def test_encode_frame_strict_rejects_unregistered_types():
     from repro.wire import decode_frame, encode_frame
@@ -205,14 +206,14 @@ def test_encode_frame_strict_rejects_unregistered_types():
         pass
 
     with pytest.raises(SerializationError):
-        encode_frame(AdHoc(), strict=True)
-    # The non-strict escape hatch still pickles (and round-trips).
+        encode_frame(AdHoc())
+    # Registered and built-in values still round-trip.
     message, _ = decode_frame(encode_frame(("tag", 3)))
     assert message == ("tag", 3)
 
 
 def test_strict_send_sheds_message_but_keeps_drain_alive(monkeypatch):
-    """A strict-mode encode failure must drop that message loudly
+    """An encode failure must drop that message loudly
     (counted) and nothing else: later messages to the same destination
     still go out."""
 
@@ -231,7 +232,7 @@ def test_strict_send_sheds_message_but_keeps_drain_alive(monkeypatch):
 
     streams = []
 
-    async def dialer(host, port, owner, strict=False, limit=0):
+    async def dialer(host, port, owner, limit=0):
         stream = CountingStream()
         streams.append(stream)
         return stream

@@ -1,9 +1,10 @@
 """Spill/rehydrate round-trips of the durable record codec.
 
-Every CRDT type in the registry must survive ``encode_frozen`` →
-``decode_frozen`` unchanged — the spill tier stores exactly the paper's
+Every CRDT type in the registry must survive ``encode_record`` →
+``decode_record`` unchanged — the spill tier stores exactly the paper's
 (payload, round, learned-max) triple, so a codec that loses structure
-would regress an acceptor's durable state on rehydration.
+would regress an acceptor's durable state on rehydration.  A record is
+the wire body of that triple, so its bytes are the payload's wire bytes.
 """
 
 import pytest
@@ -16,13 +17,14 @@ from repro.crdt.lwwregister import LWWRegister
 from repro.crdt.orset import ORSet
 from repro.crdt.pncounter import PNCounter
 from repro.crdt.registry import crdt_registry, initial_state
-from repro.crdt.serialize import (
-    decode_frozen,
-    decode_key,
-    encode_frozen,
-    encode_key,
-)
 from repro.errors import SerializationError
+from repro.storage.base import SpillRecord, decode_record, encode_record
+from repro.wire import decode_key, encode_body, encode_key
+
+
+def round_trip(state, round_, learned_max=None):
+    record = decode_record(encode_record(SpillRecord(state, round_, learned_max)))
+    return record.state, record.round, record.learned_max
 
 
 def mutated_payloads():
@@ -55,8 +57,7 @@ def mutated_payloads():
 @pytest.mark.parametrize("name,payload", sorted(mutated_payloads().items()))
 def test_mutated_payload_round_trip(name, payload):
     round_ = Round(4, proposer_id(9, 1))
-    blob = encode_frozen(payload, round_)
-    state, decoded_round, learned_max = decode_frozen(blob)
+    state, decoded_round, learned_max = round_trip(payload, round_)
     assert state == payload
     assert state.equivalent(payload)
     assert decoded_round == round_
@@ -66,9 +67,7 @@ def test_mutated_payload_round_trip(name, payload):
 @pytest.mark.parametrize("name", sorted(crdt_registry))
 def test_every_registered_type_round_trips_bottom(name):
     bottom = initial_state(name)
-    state, round_, learned_max = decode_frozen(
-        encode_frozen(bottom, Round.initial())
-    )
+    state, round_, learned_max = round_trip(bottom, Round.initial())
     assert type(state) is type(bottom)
     assert state.equivalent(bottom)
     assert round_ == Round.initial()
@@ -78,8 +77,9 @@ def test_every_registered_type_round_trips_bottom(name):
 def test_learned_max_round_trips_alongside_the_pair():
     payload = GCounter.of({"r0": 2})
     learned = GCounter.of({"r0": 2, "r1": 9})
-    blob = encode_frozen(payload, Round.initial().with_write_id(), learned)
-    state, round_, learned_max = decode_frozen(blob)
+    state, round_, learned_max = round_trip(
+        payload, Round.initial().with_write_id(), learned
+    )
     assert state == payload
     assert round_ == Round.initial().with_write_id()
     assert learned_max == learned
@@ -89,7 +89,7 @@ def test_identity_caches_are_stripped_not_shipped():
     payload = GCounter.of({"r0": 1})
     payload.digest()  # populate the process-local caches
     payload.version_stamp()
-    state, _, _ = decode_frozen(encode_frozen(payload, Round.initial()))
+    state, _, _ = round_trip(payload, Round.initial())
     assert "_crdt_digest" not in state.__dict__
     assert "_crdt_stamp" not in state.__dict__
     # Caches re-derive lazily on the decoded object.
@@ -97,26 +97,32 @@ def test_identity_caches_are_stripped_not_shipped():
 
 
 def test_bad_magic_and_version_rejected():
-    blob = encode_frozen(GCounter.of({"r0": 1}), Round.initial())
+    # A record carries no magic of its own — the segment frame does; the
+    # leading value tag is what marks a record, and bytes that are not a
+    # wire triple are refused.
+    blob = encode_record(SpillRecord(GCounter.of({"r0": 1}), Round.initial()))
     with pytest.raises(SerializationError):
-        decode_frozen(b"XX" + blob[2:])
+        decode_record(b"XX" + blob[2:])
     with pytest.raises(SerializationError):
-        decode_frozen(blob[:2] + bytes([99]) + blob[3:])
+        decode_record(blob[:2] + bytes([99]) + blob[3:])
     with pytest.raises(SerializationError):
-        decode_frozen(b"")
+        decode_record(b"")
 
 
 def test_non_crdt_payload_rejected_on_encode_and_decode():
     with pytest.raises(SerializationError):
-        encode_frozen("not a crdt", Round.initial())
+        encode_record(SpillRecord("not a crdt", Round.initial()))
     with pytest.raises(SerializationError):
-        encode_frozen(GCounter.initial(), "not a round")
-    # A well-framed pickle of the wrong shape is rejected on decode.
-    import pickle
-
-    fake = b"Cf" + bytes([1]) + pickle.dumps(("a", "b"))
-    with pytest.raises(SerializationError):
-        decode_frozen(fake)
+        encode_record(SpillRecord(GCounter.initial(), "not a round"))
+    # Well-formed wire bodies of the wrong shape are rejected on decode.
+    for wrong in (
+        ("a", "b"),
+        ("a", Round.initial(), None),
+        (GCounter.initial(), Round.initial(), "not a crdt"),
+        [GCounter.initial(), Round.initial(), None],
+    ):
+        with pytest.raises(SerializationError):
+            decode_record(encode_body(wrong))
 
 
 def test_keys_round_trip_arbitrary_hashables():

@@ -4,8 +4,8 @@ A CRDT payload whose body reaches ``SIZED_CROSSOVER`` bytes crosses the
 wire as a length-prefixed blob that is memoised on the payload and
 interned by the decoder.  These tests pin what that buys (identity on
 repeat decodes, one encode per payload) and what it must never cost
-(leaks, identity across classes, a pickle reaching a strict send,
-hash-seed-dependent bytes).
+(leaks, identity across classes, a memo for a payload the codec cannot
+encode, hash-seed-dependent bytes).
 """
 
 import gc
@@ -23,6 +23,7 @@ from repro.crdt.gset import GSet
 from repro.crdt.lwwmap import LWWMap, LWWMapPut
 from repro.crdt.orset import ORSet
 from repro.errors import SerializationError
+from repro.net.message import wire_size
 from repro.wire import (
     SIZED_CROSSOVER,
     decode_body,
@@ -102,7 +103,7 @@ def test_crossover_is_decided_by_the_encoded_body_length():
 def test_sized_payloads_nest_inside_messages_and_round_trip():
     state = big_map()
     message = PrepareAck("q1", 1, Round(4, (7, 2, 1)), state)
-    decoded = decode_body(encode_body(message, strict=True))
+    decoded = decode_body(encode_body(message))
     assert decoded == message
     assert decoded.state is state
 
@@ -140,9 +141,9 @@ def test_encoding_makes_the_sender_resident_for_its_own_bytes():
 
 def test_second_encode_reuses_the_blob():
     state = big_map()
-    first = encode_body(Merge("m1", state), strict=True)
+    first = encode_body(Merge("m1", state))
     blob = state.wire_blob()
-    second = encode_body(Merge("m2", state), strict=True)
+    second = encode_body(Merge("m2", state))
     assert state.wire_blob() is blob
     assert first.count(blob) == second.count(blob) == 1
 
@@ -186,14 +187,14 @@ def test_stable_digest_is_the_crc_of_the_memoised_blob():
     assert state.wire_blob() is blob
     assert stable_digest(clone(state)) == stable_digest(state)
     small = GCounter((("r0", 3),))
-    assert stable_digest(small) == zlib.crc32(encode_body(small, strict=True))
+    assert stable_digest(small) == zlib.crc32(encode_body(small))
 
 
 # ----------------------------------------------------------------------
-# Strict / non-strict soundness
+# A payload the codec cannot encode
 # ----------------------------------------------------------------------
 class Unregistered:
-    """A value the codec can only pickle."""
+    """A value the codec has no encoding for."""
 
     def __init__(self, n):
         self.n = n
@@ -205,18 +206,14 @@ class Unregistered:
         return hash(self.n)
 
 
-def test_a_non_strict_blob_is_not_served_to_a_strict_send():
+def test_a_payload_holding_an_unregistered_value_has_no_bytes_at_all():
     tainted = GSet(frozenset(Unregistered(i) for i in range(80)))
-    body = encode_body(tainted)  # sizing / sim path: non-strict
-    assert len(body) > SIZED_CROSSOVER
-    assert body[0] == T_OBJ  # bare encoding, pickles inside
-    assert tainted.wire_blob() is None  # never memoised ...
-    assert decode_body(body) == tainted
-    assert decode_body(body).wire_blob() is None  # ... nor interned
     with pytest.raises(SerializationError):
-        encode_frame(Merge("m", tainted), strict=True)
-    with pytest.raises(SerializationError):
-        stable_digest(tainted)
+        encode_frame(Merge("m", tainted))
+    for measure in (encode_body, wire_size, stable_digest):
+        with pytest.raises(SerializationError):
+            measure(tainted)
+    assert tainted.wire_blob() is None  # never memoised, never interned
 
 
 def test_the_memo_survives_neither_pickle_nor_deepcopy():
@@ -246,8 +243,8 @@ lww = LWWMap.initial()
 for i in range(64):
     lww = LWWMapPut(("k", i), f"v{i}", float(i)).apply(lww, "r0")
 for state in (orset, lww):
-    frame = encode_frame(Merge("m", state), strict=True)
-    assert frame == encode_frame(Merge("m", state), strict=True)
+    frame = encode_frame(Merge("m", state))
+    assert frame == encode_frame(Merge("m", state))
     sys.stdout.write(frame.hex() + "\\n")
 """
 

@@ -12,6 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.common import (
+    Forwarded,
+    RsmQuery,
+    RsmQueryDone,
+    RsmUpdate,
+    RsmUpdateDone,
+)
 from repro.baselines.gla.node import Propose, ProposeAck, ProposeNack
 from repro.baselines.multipaxos.messages import (
     CatchupReply,
@@ -237,6 +244,12 @@ EXEMPLARS = [
     SeverDone("n1", "r0", 3),
     GarbageInject("n2", "r1", b"\xde\xad"),
     GarbageInjectDone("n2", "r0", True),
+    # Baseline client messages
+    RsmUpdate("u1", ("incr", 1)),
+    RsmQuery("q1", ("read",)),
+    RsmUpdateDone("u1"),
+    RsmQueryDone("q1", 4, "r0", "lease"),
+    Forwarded("c1", RsmUpdate("u1", ("incr", 1))),
 ]
 
 
@@ -362,7 +375,7 @@ def _decode_or_reject(decode, data):
 
 def test_every_truncation_and_bit_flip_of_a_sized_payload_frame_is_rejected():
     state = _sized_state()  # stays referenced: resident for its blob
-    frame = encode_frame(PrepareAck("q1", 1, _ROUND, state), strict=True)
+    frame = encode_frame(PrepareAck("q1", 1, _ROUND, state))
     assert len(state.wire_blob()) >= SIZED_CROSSOVER
     assert decode_frame(frame)[0].state is state
     for cut in range(len(frame)):
@@ -384,7 +397,7 @@ def test_corrupt_bodies_past_the_crc_raise_only_serialization_error():
     # What the CRC would normally stop: every truncation and every
     # single-bit flip of the *body*, fed straight to the value decoder.
     state = _sized_state()
-    body = encode_body(PrepareAck("q1", 1, _ROUND, state), strict=True)
+    body = encode_body(PrepareAck("q1", 1, _ROUND, state))
     blob = state.wire_blob()
     blob_at = body.index(blob)
     for cut in range(len(body)):

@@ -1,21 +1,19 @@
-"""ISSUE-9 satellite: the structural size estimator tracks the codec.
+"""The one sizer: a message's size is its encoded body length.
 
-:func:`repro.net.message.wire_size` predates the binary codec; with
-:mod:`repro.wire` imported it reports exact encoded lengths for every
-registered class, and the old structural estimate survives only for
-unregistered ad-hoc payloads — and as the figure historical benchmark
-results were computed in.  These tests pin the relationship:
+:func:`repro.net.message.wire_size` (exported by :mod:`repro.wire` as
+``exact_wire_size``) is ``len(encode_body(message))`` — for every class
+in the round-trip corpus, the baseline client messages included.  The
+one estimate left in byte accounting is the simulator's fixed per-
+envelope overhead (:data:`~repro.net.message.ENVELOPE_OVERHEAD_BYTES`)
+standing in for addressing and framing; these tests pin it against the
+frame a socket really carries for the message:
 
-* the exact sizer really is exact (== ``len(encode_body(...))``);
-* the estimator stays inside a fixed band of the truth for every
-  registered exemplar, so accounting-based conclusions (relative
-  protocol overheads, batching savings) drawn from either figure agree
-  in shape — an estimator that silently drifts fails here;
-* on large payloads, where accounting matters most, the estimator's
-  relative error tightens (per-field constants wash out).
+* the envelope figure is exactly body + overhead;
+* it never undercounts the real frame and overcounts it by less than
+  the overhead itself, for every message in the corpus;
+* on large payloads, where accounting matters most, the difference
+  washes out.
 """
-
-import contextlib
 
 import pytest
 
@@ -24,31 +22,16 @@ from repro.baselines.raft.messages import AppendEntries
 from repro.core.messages import Merge
 from repro.crdt.gcounter import GCounter, Increment
 from repro.crdt.gset import GSet
-from repro.net import message as message_mod
-from repro.net.message import (
-    ENVELOPE_OVERHEAD_BYTES,
-    Envelope,
-    install_exact_sizer,
-    wire_size,
-)
-from repro.wire import encode_body, exact_wire_size
+from repro.net.message import ENVELOPE_OVERHEAD_BYTES, Envelope, wire_size
+from repro.wire import encode_body, encode_frame, exact_wire_size
 
 from tests.wire.test_roundtrip import EXEMPLARS
 
 
-@contextlib.contextmanager
-def estimator_only():
-    """Temporarily uninstall the exact sizer, exposing the estimator."""
-    install_exact_sizer(lambda obj: None)
-    try:
-        yield
-    finally:
-        install_exact_sizer(exact_wire_size)
-
-
-def estimate(message) -> int:
-    with estimator_only():
-        return message_mod.wire_size(message)
+def socket_frame_bytes(message) -> int:
+    """What a stream server writes for ``message``: one frame of
+    ``(sender, message)``."""
+    return len(encode_frame(("r0", message)))
 
 
 @pytest.mark.parametrize(
@@ -56,27 +39,21 @@ def estimate(message) -> int:
 )
 def test_installed_sizer_reports_exact_encoded_length(message):
     assert wire_size(message) == len(encode_body(message))
+    assert exact_wire_size(message) == wire_size(message)
 
 
 @pytest.mark.parametrize(
     "message", EXEMPLARS, ids=lambda m: type(m).__name__
 )
 def test_estimator_stays_inside_the_fidelity_band(message):
-    # The estimator charges flat 8-byte ints and container overheads
-    # where the codec writes varints, so tiny messages read a few times
-    # larger than the truth; the band bounds the drift in both
-    # directions.  A structural change that sends it outside (forgetting
-    # a field, double-counting a container) fails here.
-    real = len(encode_body(message))
-    est = estimate(message)
-    assert est >= 0.5 * real - 4, (
-        f"{type(message).__name__}: estimator {est} collapsed below "
-        f"real encoded size {real}"
-    )
-    assert est <= 3.5 * real + 8, (
-        f"{type(message).__name__}: estimator {est} inflated far above "
-        f"real encoded size {real}"
-    )
+    # The envelope estimate charges a fixed overhead where the socket
+    # path writes magic, version, a length varint, the sender id and a
+    # CRC: it may overcount, never undercount, and by less than the
+    # overhead it adds.
+    estimate = Envelope(src="r0", dst="r1", payload=message).size_bytes()
+    assert estimate == ENVELOPE_OVERHEAD_BYTES + len(encode_body(message))
+    real = socket_frame_bytes(message)
+    assert real <= estimate < real + ENVELOPE_OVERHEAD_BYTES
 
 
 @pytest.mark.parametrize(
@@ -104,11 +81,11 @@ def test_estimator_stays_inside_the_fidelity_band(message):
     ids=["gcounter-200", "gset-500", "merge-100", "append-entries-64"],
 )
 def test_estimator_converges_on_large_payloads(payload):
-    real = len(encode_body(payload))
-    est = estimate(payload)
-    assert 0.6 * real <= est <= 2.0 * real, (
-        f"{type(payload).__name__}: estimator {est} vs real {real} — "
-        f"per-field constants should wash out at this size"
+    real = socket_frame_bytes(payload)
+    estimate = Envelope(src="r0", dst="r1", payload=payload).size_bytes()
+    assert real <= estimate <= 1.02 * real, (
+        f"{type(payload).__name__}: envelope {estimate} vs frame {real} — "
+        f"the fixed overhead should wash out at this size"
     )
 
 
@@ -118,13 +95,3 @@ def test_envelope_accounting_uses_the_exact_body_length():
     assert envelope.size_bytes() == ENVELOPE_OVERHEAD_BYTES + len(
         encode_body(payload)
     )
-
-
-def test_unregistered_payloads_keep_the_documented_estimate():
-    # Ad-hoc values the codec does not know fall through to the
-    # structural rules — the figures tests and benchmarks relied on.
-    assert wire_size("abcd") == 4
-    assert wire_size(b"xyz") == 3
-    assert wire_size(7) == 8
-    assert wire_size([1, 2]) == 8 + 16
-    assert wire_size(object()) == 16
