@@ -17,7 +17,8 @@ of the change checkout's ``BENCHMARK.json`` it prints both medians, both
 quartile spreads, wins/pairs (ties count for neither side) and two verdicts:
 
 * ``gain`` — the choosing-metrics §8 rule: the change wins at least nine
-  tenths of the pairs *and* the medians differ, in the metric's better
+  tenths of the pairs *run* (a pair dropped for a failed or incorrect run
+  is a non-win) *and* the medians differ, in the metric's better
   direction, by more than the distance between the parent's quartiles;
 * ``worse`` — the change's median is worse than the parent's by more than
   the metric's declared bound (``unresolved`` when the parent's own quartile
@@ -90,15 +91,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def judge(metric: dict, parent: list[float], change: list[float]) -> dict:
-    """Medians, spreads, wins and the two verdicts for one metric."""
+def judge(
+    metric: dict, parent: list[float], change: list[float], runs: int
+) -> dict:
+    """Medians, spreads, wins and the two verdicts for one metric.
+
+    ``parent``/``change`` hold the kept pairs; ``runs`` is how many pairs
+    were run, kept or not."""
     higher = metric["better"] == "higher"
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     improvement = (c_med - p_med) if higher else (p_med - c_med)
     spread = p_q3 - p_q1
-    gain = wins >= 0.9 * len(parent) and improvement > spread
+    gain = wins >= 0.9 * runs and improvement > spread
     all_better = (min(change) > max(parent)) if higher else (max(change) < min(parent))
     worse = "no"
     if p_med and spread / abs(p_med) > metric["bound"] and not all_better:
@@ -146,11 +152,12 @@ def compare(
     print(f"{'metric':18s} {'parent med (q1..q3)':>34s} {'change med (q1..q3)':>34s} "
           f"{'wins':>6s} {'gain':>5s} {'worse':>10s}")
     for m in metrics:
-        row = judge(m, samples["parent"][m["name"]], samples["change"][m["name"]])
+        row = judge(m, samples["parent"][m["name"]], samples["change"][m["name"]],
+                    pairs)
         cells = ["{:.5g} ({:.5g}..{:.5g})".format(*row[side])
                  for side in ("parent", "change")]
         print(f"{m['name']:18s} {cells[0]:>34s} {cells[1]:>34s} "
-              f"{row['wins']:>3d}/{kept:<2d} {'yes' if row['gain'] else 'no':>5s} "
+              f"{row['wins']:>3d}/{pairs:<2d} {'yes' if row['gain'] else 'no':>5s} "
               f"{row['worse']:>10s}")
     if layers:
         traced = {side: run_once(sides[side], workload, seed, trace=1)

@@ -11,7 +11,8 @@ query fast path's dominant shape: a 5-ack quorum of structurally equal
 1000-element OR-Set payloads.
 """
 
-from repro.bench.perf_gate import build_quorum_acks, best_of_seconds
+from conftest import best_of_seconds, build_quorum_acks
+
 from repro.core.acceptor import Acceptor
 from repro.core.messages import Merge, Prepare
 from repro.core.rounds import Round, RoundIdGenerator

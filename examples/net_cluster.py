@@ -26,11 +26,11 @@ import asyncio
 import sys
 import time
 
-from repro.bench.netbench import sockets_available
 from repro.core.keyspace import Keyed
 from repro.core.messages import ClientQuery, ClientUpdate, QueryDone, UpdateDone
 from repro.crdt.gcounter import GCounterValue, Increment
 from repro.nemesis import ProcessCluster
+from repro.nemesis.process import sockets_available
 from repro.net.stream import StreamClient
 
 

@@ -7,14 +7,11 @@ experiments) and prints the result table, e.g.::
     python -m repro.bench fig1 --scale full    # the paper's grid
     python -m repro.bench overhead ablations   # several at once
     python -m repro.bench all --seed 7
-    python -m repro.bench net                  # multi-process socket rig
-    python -m repro.bench perf-gate --quick    # hot-path regression gate
-    python -m repro.bench trend                # cross-PR metric deltas
 
-``perf-gate`` is special: it writes ``BENCH_PR<N>.json`` at the
-repository root and exits non-zero when a gated hot-path metric regresses
-more than 20 % against ``benchmarks/perf_gate_baseline.json``; ``trend``
-compares every ``BENCH_PR<N>.json`` recorded so far.
+These are simulator runs of the paper's figures.  Performance on real
+sockets, processes and disks is measured by ``perf/`` (``python3
+perf/run.py --workload <name>``, workloads declared in ``BENCHMARK.json``)
+and compared across commits with ``benchmarks/ab_pairs.py``.
 """
 
 from __future__ import annotations
@@ -29,10 +26,7 @@ from repro.bench import fig1 as _fig1
 from repro.bench import fig2 as _fig2
 from repro.bench import fig3 as _fig3
 from repro.bench import fig4 as _fig4
-from repro.bench import netbench as _netbench
 from repro.bench import overhead as _overhead
-from repro.bench import perf_gate as _perf_gate
-from repro.bench import trend as _trend
 
 Runner = Callable[[str | None, int], str]
 
@@ -60,12 +54,6 @@ def _run_overhead(scale: str | None, seed: int) -> str:
     )
 
 
-def _run_net(scale: str | None, seed: int) -> str:
-    return _netbench.render_net(
-        _netbench.run_net(quick=scale != "full", seed=seed)
-    )
-
-
 def _run_ablations(scale: str | None, seed: int) -> str:
     duration = 4.0 if scale == "full" else 1.5
     return _ablations.render_ablations(
@@ -80,7 +68,6 @@ EXPERIMENTS: dict[str, Runner] = {
     "fig4": _run_fig4,
     "overhead": _run_overhead,
     "ablations": _run_ablations,
-    "net": _run_net,
 }
 
 
@@ -92,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        choices=sorted(EXPERIMENTS) + ["all", "perf-gate", "trend"],
+        choices=sorted(EXPERIMENTS) + ["all"],
         help="which experiment(s) to run",
     )
     parser.add_argument(
@@ -101,24 +88,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="grid size (default: REPRO_BENCH_SCALE or 'quick')",
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="perf-gate only: short end-to-end runs (finishes well under 60s)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     args = parser.parse_args(argv)
-
-    exit_code = 0
-    if "perf-gate" in args.experiments:
-        # The gate controls the exit code; --scale full lengthens its
-        # end-to-end runs, --quick (the documented mode) keeps them short.
-        quick = args.quick or args.scale != "full"
-        exit_code = _perf_gate.main(quick=quick, seed=args.seed)
-        args.experiments = [e for e in args.experiments if e != "perf-gate"]
-    if "trend" in args.experiments:
-        _trend.main()
-        args.experiments = [e for e in args.experiments if e != "trend"]
 
     names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
     for name in names:
@@ -127,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.time() - started
         print(table)
         print(f"[{name}: {elapsed:.1f}s wall]\n")
-    return exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -154,22 +154,15 @@ class CrdtPaxosConfig:
         §3.3 ``(payload, round)`` pair is persisted relative to the acks
         the replica emits.  ``"none"`` (default) persists only on
         demotion/``spill_all`` — a hard kill may lose promises.
-        ``"write_through"`` and ``"group_sync"`` are one mechanism: a
-        key's ``(payload, round, learned-max)`` triple is ``put`` inside
-        the handling step, the step's certifying acks (MERGED /
-        PREPARE-ACK / VOTED / the client's done messages / migration
-        replies) park, and a sync tick flushes once for everything put
-        since the last tick before releasing them — the log-less
-        analogue of an acceptor's group-committed fsync; every ack a
-        peer or client sees rests on durable state.  ``write_through``
-        arms the tick at delay 0 (the end of the driver turn: the fsync
-        is the batching window, batch size follows load);
-        ``group_sync`` arms it ``durability_sync_window`` seconds out.
-    ``durability_sync_window``
-        The delay ``group_sync`` arms the sync tick with, i.e. how long
-        acks may park before the batched flush releases them.  Under
-        either durable mode it is also the retry cadence after a failed
-        flush.
+        ``"write_through"``: a key's ``(payload, round, learned-max)``
+        triple is ``put`` inside the handling step, the step's
+        certifying acks (MERGED / PREPARE-ACK / VOTED / the client's
+        done messages / migration replies) park, and a sync tick armed
+        at delay 0 (the end of the driver turn) flushes once for
+        everything put since the last tick before releasing them — the
+        log-less analogue of an acceptor's group-committed fsync; every
+        ack a peer or client sees rests on durable state, and the fsync
+        itself is the batching window (batch size follows load).
     """
 
     batching: bool = False
@@ -199,7 +192,6 @@ class CrdtPaxosConfig:
     keyed_coalesce_min_window: float | None = None
     keyed_outbox_byte_budget: int | None = None
     durability: str = "none"
-    durability_sync_window: float = 0.002
 
     def __post_init__(self) -> None:
         for field_name in ("initial_prepare", "retry_prepare"):
@@ -279,10 +271,8 @@ class CrdtPaxosConfig:
                 f"keyed_outbox_byte_budget must be >= 1 or None, got "
                 f"{self.keyed_outbox_byte_budget}"
             )
-        if self.durability not in ("none", "write_through", "group_sync"):
+        if self.durability not in ("none", "write_through"):
             raise ConfigurationError(
-                "durability must be 'none', 'write_through' or 'group_sync', "
+                "durability must be 'none' or 'write_through', "
                 f"got {self.durability!r}"
             )
-        if self.durability_sync_window <= 0:
-            raise ConfigurationError("durability_sync_window must be positive")

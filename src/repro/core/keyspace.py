@@ -88,14 +88,13 @@ Two refinements ride on the frozen-record design:
   sequence numbers already come from a node-wide counter).
 
 **Surviving kill -9.**  ``config.durability`` turns the spill store into
-the acceptor's fsync target.  Both durable modes are one mechanism: a
-key's triple is ``put`` inside the handling step, the step's certifying
-acks park, and a sync tick — armed at delay 0 under ``write_through``
-("the end of this driver turn"), at ``durability_sync_window`` under
-``group_sync`` — flushes once for every key put since the last tick and
-then releases them, so no ack escapes before a flush that covers the
-state it attests and every message handled in one driver turn shares
-one fsync (see :mod:`repro.storage` for the mode semantics).
+the acceptor's fsync target.  Under ``write_through`` a key's triple is
+``put`` inside the handling step, the step's certifying acks park, and a
+sync tick armed at delay 0 ("the end of this driver turn") flushes once
+for every key put since the last tick and then releases them, so no ack
+escapes before a flush that covers the state it attests and every
+message handled in one driver turn shares one fsync (see
+:mod:`repro.storage` for the mode semantics).
 A replica recovered from a store *without* those guarantees (no
 clean-shutdown marker, dead generation ran ``durability="none"``) must
 pass ``rejoin=True`` to :meth:`KeyedCrdtReplica.recover`: every stored
@@ -157,9 +156,13 @@ _COALESCE_TARGET_BATCH = 8
 #: EWMA smoothing for the per-peer enqueue-interval estimate.
 _COALESCE_EWMA_ALPHA = 0.2
 
-#: Reserved timer key for the group-commit flush (the sync tick of both
-#: durable modes).
+#: Reserved timer key for the group-commit flush (the durable sync tick).
 _SYNC_TIMER = "keyspace-sync"
+
+#: How long the sync tick waits before retrying a failed flush.  Must be
+#: positive: a zero-delay re-arm against a sick disk would spin the
+#: driver without ever letting time (and the heal) pass.
+_SYNC_RETRY_DELAY = 0.002
 
 #: Per-key timer token for re-driving an open quorum-rejoin refresh.
 #: Namespaced like proposer timers (``<repr(key)>|rejoin``); proposer
@@ -469,14 +472,6 @@ class KeyedCrdtReplica(ProtocolNode):
         ``key → bottom payload`` factory; called once per key on first
         touch and must be deterministic across replicas (all members must
         agree on a key's type).
-    eager:
-        Ablation/benchmark baseline: materialize the full pre-flyweight
-        instance on first touch — a private
-        :class:`~repro.core.proposer.ProposerShared` (config, peer list,
-        round-id source and stats copied per key), an eagerly built
-        proposer and an eager timer-namespace registration.  This is the
-        shape the seed design gave every key; the keyed-scale benchmark
-        measures the flyweight's resident bytes/key against it.
     """
 
     def __init__(
@@ -486,7 +481,6 @@ class KeyedCrdtReplica(ProtocolNode):
         initial_state_for: Callable[[Hashable], StateCRDT],
         config: CrdtPaxosConfig | None = None,
         quorum: QuorumSystem | None = None,
-        eager: bool = False,
         spill_store: SpillStore | None = None,
         ownership: GroupOwnership | None = None,
     ) -> None:
@@ -497,7 +491,6 @@ class KeyedCrdtReplica(ProtocolNode):
         self.config = config or CrdtPaxosConfig()
         self.quorum = quorum or MajorityQuorum(peers)
         self._initial_state_for = initial_state_for
-        self._eager = eager
         if self.config.keyed_max_frozen is not None and spill_store is None:
             raise ConfigurationError(
                 "keyed_max_frozen requires a spill_store (frozen records "
@@ -571,19 +564,13 @@ class KeyedCrdtReplica(ProtocolNode):
         #: only durable builds pay for it — the flyweight density rail
         #: covers ``durability="none"``, where this stays empty.
         self._durable_stamps: dict[Hashable, tuple] = {}
-        #: Group commit (both durable modes): certifying acks wait here
-        #: until a flush covers the state they attest.  The sync tick is
-        #: armed at delay 0 under ``write_through`` — "the end of this
-        #: driver turn", so the fsync itself is the batching window —
-        #: and at ``durability_sync_window`` under ``group_sync``.
+        #: Group commit: certifying acks wait here until a flush covers
+        #: the state they attest.  The sync tick is armed at delay 0 —
+        #: "the end of this driver turn", so the fsync itself is the
+        #: batching window.
         self._sync_parked: list[tuple[str, Keyed]] = []
         self._sync_dirty = False
         self._sync_armed = False
-        self._sync_delay = (
-            self.config.durability_sync_window
-            if self._durability == "group_sync"
-            else 0.0
-        )
         #: Durable-generation bookkeeping: bumped on every recover and
         #: stamped into spill meta, so artifacts of a dead generation
         #: (rejoin request ids, stale stores) are distinguishable.
@@ -764,9 +751,6 @@ class KeyedCrdtReplica(ProtocolNode):
             heapq.heapify(self._evict_heap)
 
     def _admit(self, key: Hashable) -> _KeyInstance:
-        # Eager (pre-flyweight) instances carry private stats sinks, like
-        # the seed design; flyweight instances share the replica's.
-        stats = AcceptorStats() if self._eager else self._acceptor_stats
         frozen = self._frozen.pop(key, None)
         if frozen is None and self._spill_store is not None:
             # Second demotion tier: the key may live in the spill store
@@ -780,10 +764,14 @@ class KeyedCrdtReplica(ProtocolNode):
                 )
                 self.spill_loads += 1
         if frozen is not None:
-            acceptor = Acceptor(frozen.state, round=frozen.round, stats=stats)
+            acceptor = Acceptor(
+                frozen.state, round=frozen.round, stats=self._acceptor_stats
+            )
             self.rehydrations += 1
         else:
-            acceptor = Acceptor(self._initial_state_for(key), stats=stats)
+            acceptor = Acceptor(
+                self._initial_state_for(key), stats=self._acceptor_stats
+            )
         inst = _KeyInstance(acceptor)
         if frozen is not None:
             inst.learned_max = frozen.learned_max
@@ -799,23 +787,13 @@ class KeyedCrdtReplica(ProtocolNode):
                 inst.learned_max,
             )
         self._resident[key] = inst
-        if self._eager:
-            self._materialize(key, inst)
         return inst
 
     def _materialize(self, key: Hashable, inst: _KeyInstance) -> Proposer:
         """Build the key's proposer on its first local client command."""
         if inst.proposer is None:
-            if self._eager:
-                # Pre-flyweight shape: nothing hoisted, every key carries
-                # its own context (and its own stats sink).
-                shared = ProposerShared(
-                    self.node_id, self.peers, self.quorum, self.config
-                )
-            else:
-                shared = self._shared
             inst.proposer = Proposer(
-                shared,
+                self._shared,
                 inst.acceptor,
                 self._initial_state_for(key),
                 learned_max=inst.learned_max,
@@ -1098,7 +1076,7 @@ class KeyedCrdtReplica(ProtocolNode):
         self._sync_armed = False
         if self._sync_dirty or self._sync_parked:
             self._sync_armed = True
-            effects.set_timer(_SYNC_TIMER, self._sync_delay)
+            effects.set_timer(_SYNC_TIMER, 0.0)
         return effects
 
     def on_message(self, src: str, message: Any, now: float) -> Effects:
@@ -1584,7 +1562,7 @@ class KeyedCrdtReplica(ProtocolNode):
             wrapped.cancel_timer(f"{key!r}|{timer_key}")
         if not self._sync_armed and (self._sync_dirty or self._sync_parked):
             self._sync_armed = True
-            wrapped.set_timer(_SYNC_TIMER, self._sync_delay)
+            wrapped.set_timer(_SYNC_TIMER, 0.0)
         return wrapped
 
     def _coalesce_delay(self, dst: str) -> float:
@@ -1672,11 +1650,10 @@ class KeyedCrdtReplica(ProtocolNode):
 
         The put is left unflushed and the window marked dirty, which
         makes :meth:`_wrap` park the step's certifying acks and arm the
-        sync tick (:meth:`_sync_commit`) — there is no flush here, under
-        either durable mode.  The node-wide monotone counters ride along
-        via leased meta snapshots (:meth:`_lease_counters`), so a learn
-        sequence number in an escaped QUERY-DONE can never be reissued
-        by the next generation.
+        sync tick (:meth:`_sync_commit`) — there is no flush here.  The
+        node-wide monotone counters ride along via leased meta snapshots
+        (:meth:`_lease_counters`), so a learn sequence number in an
+        escaped QUERY-DONE can never be reissued by the next generation.
 
         Returns False when the put *failed*: the
         durable stamp is dropped — the next step re-persists from scratch
@@ -1814,8 +1791,8 @@ class KeyedCrdtReplica(ProtocolNode):
         certifying ack is released (it now attests durable state).
 
         A failed flush releases *nothing*: the parked acks stay parked
-        and the tick re-arms — the replica keeps retrying on the sync
-        cadence and the acks go out on the first flush that succeeds
+        and the tick re-arms :data:`_SYNC_RETRY_DELAY` out — the replica
+        keeps retrying and the acks go out on the first flush that succeeds
         after the store heals.
         """
         self._sync_armed = False
@@ -1825,11 +1802,8 @@ class KeyedCrdtReplica(ProtocolNode):
                 self._spill_store.flush()
             except (StorageUnavailable, OSError):
                 self.persist_refusals += 1
-                # Retry on the sync-window cadence in both modes: a
-                # zero-delay re-arm against a sick disk would spin the
-                # driver without ever letting time (and the heal) pass.
                 self._sync_armed = True
-                effects.set_timer(_SYNC_TIMER, self.config.durability_sync_window)
+                effects.set_timer(_SYNC_TIMER, _SYNC_RETRY_DELAY)
                 return effects
             self._sync_dirty = False
             self.group_commits += 1
@@ -1838,14 +1812,6 @@ class KeyedCrdtReplica(ProtocolNode):
         for dst, keyed in parked:
             effects.send(dst, keyed)
         return effects
-
-    def drain_spill_accrued(self) -> float:
-        """Virtual IO seconds accrued by the spill store since the last
-        drain (0.0 for stores without a latency model) — the driver
-        charges them against this node's busy time."""
-        store = self._spill_store
-        drain = getattr(store, "drain_accrued", None)
-        return drain() if drain is not None else 0.0
 
     # ------------------------------------------------------------------
     # Quorum re-join

@@ -27,12 +27,11 @@ verbs are the real thing:
 client traffic sustained by fail-over across a SIGKILL outage, a marker
 operation committed while the victim is dead, and — after the cold
 restart — a linearizable read served by the *restarted* replica that
-must include the op it missed.  The bench rig reuses the same cluster
-for ``net_kill_retention`` (``python -m repro.bench net``).
+must include the op it missed.
 
 Everything here requires working loopback sockets and process spawning;
-callers gate on :func:`~repro.bench.netbench.sockets_available` and the
-tests skip cleanly in sandboxes (the established loopback-skip pattern).
+callers gate on :func:`sockets_available` and the tests skip cleanly in
+sandboxes (the established loopback-skip pattern).
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import pathlib
+import socket
 import tempfile
 import time
 from dataclasses import dataclass
@@ -51,6 +51,46 @@ from repro.errors import RequestTimeout, TransportError
 _HOST = "127.0.0.1"
 #: Seconds to wait for a replica process to signal ready.
 _STARTUP_TIMEOUT = 30.0
+
+
+def sockets_available() -> bool:
+    """Probe whether loopback TCP actually works here.
+
+    Sandboxes block sockets in creative ways (creation, bind, listen,
+    or connect); a full listen+connect round trip is the only probe that
+    catches them all.
+    """
+    try:
+        with socket.socket() as listener:
+            listener.bind((_HOST, 0))
+            listener.listen(1)
+            port = listener.getsockname()[1]
+            with socket.create_connection((_HOST, port), timeout=2.0):
+                pass
+        return True
+    except OSError:
+        return False
+
+
+def reserve_ports(count: int) -> list[int]:
+    """``count`` distinct ephemeral ports, reserved by bind-and-release.
+
+    The tiny race between release and the server process's bind is
+    acceptable for a test cluster; SO_REUSEADDR keeps the kernel from
+    holding the port in TIME_WAIT against us.
+    """
+    sockets, ports = [], []
+    try:
+        for _ in range(count):
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((_HOST, 0))
+            sockets.append(sock)
+            ports.append(sock.getsockname()[1])
+    finally:
+        for sock in sockets:
+            sock.close()
+    return ports
 
 
 def _factory_for(state: str):
@@ -163,8 +203,6 @@ class ProcessCluster:
         data_dir: str | None = None,
         durable: bool = True,
     ) -> None:
-        from repro.bench.netbench import reserve_ports
-
         self._ctx = multiprocessing.get_context("spawn")
         self.config = config or CrdtPaxosConfig()
         self.state = state

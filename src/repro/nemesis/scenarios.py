@@ -70,7 +70,7 @@ def rolling_hard_kill(replicas: list[str]) -> NemesisSchedule:
 
     Staggered so each victim's rejoin has a healthy quorum to refresh
     from before the next kill lands.  Requires durable spill stores
-    (``write_through``/``group_sync``) — each generation restarts from
+    (``durability="write_through"``) — each generation restarts from
     whatever its policy persisted.
     """
     return NemesisSchedule(

@@ -12,10 +12,10 @@ Every frame on the wire is a ``(sender id, message)`` tuple — the
 destination is implied by the connection — so a server learns the return
 route for a client the moment its first frame arrives.
 
-The multi-process bench rig (``python -m repro.bench net``) spawns one
-OS process per :class:`StreamNodeServer` and measures ops/s and
-bytes/op through this module, so its numbers are hardware numbers:
-real serialization, real syscalls, real scheduling.
+The benchmark in ``perf/`` spawns one OS process per
+:class:`StreamNodeServer` and measures ops/s and bytes/op through this
+module, so its numbers are hardware numbers: real serialization, real
+syscalls, real scheduling.
 
 Batching and ordering
 =====================

@@ -103,12 +103,6 @@ class SimNodeRuntime:
             send_cost = self._service_model.send_time(len(effects.sends))
             if send_cost > 0.0:
                 self._process.extend_busy(send_cost)
-        drain = getattr(self.node, "drain_spill_accrued", None)
-        if drain is not None:
-            self._service_model.charge_io(drain())
-        io_cost = self._service_model.drain_accrued()
-        if io_cost > 0.0:
-            self._process.extend_busy(io_cost)
 
 
 class ClientEndpoint:

@@ -27,12 +27,8 @@ class ServiceModel:
     size-proportional component (merging a large CRDT payload costs more
     than acking a small message); ``per_send`` charges for every message
     the handler emits, which is what makes a fan-out leader a bottleneck.
-
-    Handlers that block on storage (a write-through spill flush, a
-    rehydrating read) report the stall through :meth:`charge_io`; the
-    runtime drains it with :meth:`drain_accrued` and extends the
-    server's busy period, so IO time shows up in every benchmark's
-    virtual clock instead of silently costing nothing.
+    Storage is not modelled: simulated spill stores cost no virtual time
+    (real-disk costs are measured by ``perf/``'s durable workloads).
     """
 
     def __init__(
@@ -41,25 +37,12 @@ class ServiceModel:
         self.base = base
         self.per_byte = per_byte
         self.per_send = per_send
-        self.accrued_io_seconds = 0.0
 
     def service_time(self, size_bytes: int) -> float:
         return self.base + self.per_byte * size_bytes
 
     def send_time(self, n_sends: int) -> float:
         return self.per_send * n_sends
-
-    def charge_io(self, seconds: float) -> None:
-        """Accrue a storage stall to be billed against the serial server."""
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative IO time: {seconds}")
-        self.accrued_io_seconds += seconds
-
-    def drain_accrued(self) -> float:
-        """Return and reset IO time charged since the last drain."""
-        accrued = self.accrued_io_seconds
-        self.accrued_io_seconds = 0.0
-        return accrued
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,14 +20,15 @@ writes to its spill store relative to the acks it emits:
     without a clean-shutdown marker unless ``rejoin=True`` refreshes
     each key from a read quorum (a §3.3 prepare) before first use.
 
-``"write_through"`` and ``"group_sync"``
-    One mechanism, two delays.  After every handling step that changed a
-    key's ``(payload, round, learned-max)`` triple the triple is ``put``
-    in-step, the step's *certifying* effects (the MERGED / PREPARE-ACK /
-    VOTED acks, the client's done messages, the migration replies) are
-    parked, and a sync tick is armed; the tick runs one ``flush()`` — a
-    group commit over every key and every connection that put since the
-    last one — and only then releases the parked acks.  The §3.3 rule is
+``"write_through"``
+    After every handling step that changed a key's ``(payload, round,
+    learned-max)`` triple the triple is ``put`` in-step, the step's
+    *certifying* effects (the MERGED / PREPARE-ACK / VOTED acks, the
+    client's done messages, the migration replies) are parked, and a
+    sync tick is armed at delay **0** — "the end of this driver turn".
+    The tick runs one ``flush()`` — a group commit over every key and
+    every connection that put since the last one — and only then
+    releases the parked acks.  The §3.3 rule is
     "the pair is durable before the ack that attests it escapes", not
     "one fsync per message": any promise a peer or client has seen rests
     on flushed state, so recovery is sound without a rejoin.
@@ -35,18 +36,13 @@ writes to its spill store relative to the acks it emits:
     certificate can only rest on ack-type messages, so leaking unflushed
     state via a nack is safe.  A failed flush releases nothing and the
     tick re-arms; a failed ``put`` refuses the step's acks outright.
-
-    The modes differ only in the delay the tick is armed with.
-    ``write_through`` arms it at **0** — "the end of this driver turn" —
-    so the fsync itself is the batching window: messages that arrive
-    while one flush blocks queue in the socket buffers and share the
-    next, and batch size follows load with nothing to tune.
-    ``group_sync`` arms it at ``durability_sync_window`` seconds, trading
-    that much ack latency for fewer, larger commits.
+    The fsync itself is the batching window: messages that arrive while
+    one flush blocks queue in the socket buffers and share the next, and
+    batch size follows load with nothing to tune.
 
 :class:`VolatileSpillStore` models the volatile-cache half of a real
 disk for crash campaigns: it buffers writes until ``flush()`` and its
-``crash()`` drops the buffer, so a hard kill under either durable mode
+``crash()`` drops the buffer, so a hard kill under ``write_through``
 genuinely loses whatever the group commit had not yet covered.
 Reopening a :class:`SegmentedSpillStore` directory instead models a
 *process* kill (the OS page cache survives).
@@ -61,7 +57,6 @@ emit them.
 
 from repro.storage.base import SpillRecord, SpillStore
 from repro.storage.faulty import FaultySpillStore
-from repro.storage.latency import LatencySpillStore
 from repro.storage.memory import InMemorySpillStore
 from repro.storage.segmented import SegmentedSpillStore
 from repro.storage.volatile import VolatileSpillStore
@@ -71,7 +66,6 @@ __all__ = [
     "SpillStore",
     "InMemorySpillStore",
     "SegmentedSpillStore",
-    "LatencySpillStore",
     "FaultySpillStore",
     "VolatileSpillStore",
 ]

@@ -31,8 +31,9 @@ Backends:
   codec, so serialization bugs cannot hide behind object sharing);
 * :class:`~repro.storage.segmented.SegmentedSpillStore` — append-mostly
   segmented files with an in-memory index and compaction;
-* :class:`~repro.storage.latency.LatencySpillStore` — wraps any backend
-  with a deterministic latency model for the simulator.
+* :class:`~repro.storage.volatile.VolatileSpillStore` and
+  :class:`~repro.storage.faulty.FaultySpillStore` — wrappers modelling
+  power loss and disk faults over any backend.
 """
 
 from __future__ import annotations

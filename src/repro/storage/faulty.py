@@ -27,9 +27,8 @@ Failure model
   brownout device typically still serves its cache, and failing reads
   would only mask the interesting write-path bugs.
 
-Everything else (``drain_accrued``, ``crash``, byte counters, …) is
-forwarded to the delegate, so the wrapper composes with
-:class:`~repro.storage.latency.LatencySpillStore` and
+Everything else (``crash``, byte counters, …) is forwarded to the
+delegate, so the wrapper composes with
 :class:`~repro.storage.volatile.VolatileSpillStore` in either order.
 """
 
@@ -151,6 +150,6 @@ class FaultySpillStore(SpillStore):
 
     # ------------------------------------------------------------------
     def __getattr__(self, name: str) -> Any:
-        # Forward delegate extras (drain_accrued, crash, byte counters…)
-        # so the wrapper composes with the latency/volatile stores.
+        # Forward delegate extras (crash, byte counters…) so the wrapper
+        # composes with the volatile store.
         return getattr(self.delegate, name)

@@ -115,9 +115,9 @@ full state is always safe — it is exactly the pre-delta wire payload —
 so digest collisions or false mismatches cost bandwidth, never safety.
 
 The transports put all of this on the wire: the asyncio network and
-the multi-process bench rig (``python -m repro.bench net``) move
-length-prefixed frames over real sockets, and the sim/adversarial
-drivers route every delivered payload through encode→decode so checker
+the socket transport (:mod:`repro.net.stream`, one process per replica
+in ``perf/``) move length-prefixed frames over real sockets, and the
+sim/adversarial drivers route every delivered payload through encode→decode so checker
 campaigns exercise the codec end to end.
 """
 

@@ -12,9 +12,9 @@ prepare) before the key serves traffic.
 
 Safety must hold anyway, and for the same §3.1 reason as everywhere
 else: a completed update is durable at a *quorum*, and under
-``write_through``/``group_sync`` every certifying ack the victim ever
-emitted rested on flushed state — so the read quorum the rejoin
-intersects cannot have lost anything a certificate was built on.
+``write_through`` every certifying ack the victim ever emitted rested
+on flushed state — so the read quorum the rejoin intersects cannot
+have lost anything a certificate was built on.
 
 Operations open at the victim when it died may never complete (their
 clients crash-observed the kill), so no ``all_complete`` assertion.
@@ -129,25 +129,32 @@ def test_hard_kill_gla_stability_campaign(
 
 
 # ----------------------------------------------------------------------
-# Campaign B: both durable modes + volatile buffer (power loss between
-# fsyncs).  The modes are one mechanism with two sync-tick delays, and
-# the adversary fires the tick whenever it likes, so under either the
+# Campaign B: write_through + volatile buffer (power loss between
+# fsyncs).  The adversary fires the sync tick whenever it likes, so the
 # kill can land between a put and the flush that would have covered it.
 # ----------------------------------------------------------------------
-def _power_loss_config(durability):
-    return CrdtPaxosConfig(
-        keyed_max_resident=2,
-        keyed_max_frozen=1,
-        durability=durability,
-        durability_sync_window=0.002,
-    )
+_POWER_LOSS_CONFIG = CrdtPaxosConfig(
+    keyed_max_resident=2, keyed_max_frozen=1, durability="write_through"
+)
 
 
-def _power_loss_campaign(durability, seed, n_ops, read_fraction, kill_at):
+@_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ops=st.integers(15, 45),
+    read_fraction=st.floats(0.2, 0.8),
+    kill_at=st.integers(3, 25),
+)
+def test_hard_kill_write_through_power_loss_campaign(
+    seed, n_ops, read_fraction, kill_at
+):
+    """The kill drops whatever the group commit had not flushed — safe,
+    because the acks certifying that state were parked behind the same
+    flush and died with the process, unseen."""
     explorer = KeyedInterleavingExplorer(
         seed=seed,
         n_keys=4,
-        config=_power_loss_config(durability),
+        config=_POWER_LOSS_CONFIG,
         spill_factory=_volatile_factory,
     )
     report = explorer.run(
@@ -160,52 +167,20 @@ def _power_loss_campaign(durability, seed, n_ops, read_fraction, kill_at):
         check_all(history)
 
 
-_POWER_LOSS_GIVEN = given(
-    seed=st.integers(0, 2**32 - 1),
-    n_ops=st.integers(15, 45),
-    read_fraction=st.floats(0.2, 0.8),
-    kill_at=st.integers(3, 25),
-)
-
-
-@_SETTINGS
-@_POWER_LOSS_GIVEN
-def test_hard_kill_group_sync_power_loss_campaign(
-    seed, n_ops, read_fraction, kill_at
-):
-    """The kill drops whatever the group commit had not flushed — safe,
-    because the acks certifying that state were parked behind the same
-    flush and died with the process, unseen."""
-    _power_loss_campaign("group_sync", seed, n_ops, read_fraction, kill_at)
-
-
-@_SETTINGS
-@_POWER_LOSS_GIVEN
-def test_hard_kill_write_through_power_loss_campaign(
-    seed, n_ops, read_fraction, kill_at
-):
-    """The same power loss under ``write_through``: its acks park behind
-    the zero-delay tick's flush exactly like ``group_sync``'s do."""
-    _power_loss_campaign("write_through", seed, n_ops, read_fraction, kill_at)
-
-
 @_SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_ops=st.integers(15, 35),
     duplicate=st.floats(0.0, 0.2),
-    durability=st.sampled_from(("group_sync", "write_through")),
 )
-def test_hard_kill_with_duplicating_network_campaign(
-    seed, n_ops, duplicate, durability
-):
+def test_hard_kill_with_duplicating_network_campaign(seed, n_ops, duplicate):
     """Stale duplicates from before the kill arrive at the rejoined
     generation; leased counters (never reused across the kill) and the
     rejoin gate must keep them harmless."""
     explorer = KeyedInterleavingExplorer(
         seed=seed,
         n_keys=4,
-        config=_power_loss_config(durability),
+        config=_POWER_LOSS_CONFIG,
         spill_factory=_volatile_factory,
     )
     report = explorer.run(
@@ -257,13 +232,16 @@ def test_hard_kill_write_through_is_exercised(tmp_path):
     assert steps > compactions
 
 
-def _power_loss_is_exercised(durability):
+def test_hard_kill_write_through_power_loss_is_exercised():
+    """Vacuity guard for campaign B: group commits actually batch (more
+    persists than flushes), the volatile stores actually crash, and some
+    crashes actually discard unflushed writes."""
     kills = rejoins = persists = commits = acks = crashes = dropped = 0
     for seed in range(15):
         explorer = KeyedInterleavingExplorer(
             seed=seed,
             n_keys=4,
-            config=_power_loss_config(durability),
+            config=_POWER_LOSS_CONFIG,
             spill_factory=_volatile_factory,
         )
         report = explorer.run(n_ops=40, read_fraction=0.4, hard_kill_at_injection=12)
@@ -283,17 +261,6 @@ def _power_loss_is_exercised(durability):
     assert crashes == 15  # exactly the killed replica's buffer dropped
     # Kills really landed between a put and its covering flush.
     assert dropped > 0
-
-
-def test_hard_kill_group_sync_is_exercised():
-    """Vacuity guard for campaign B: group commits actually batch (more
-    persists than flushes), the volatile stores actually crash, and some
-    crashes actually discard unflushed writes."""
-    _power_loss_is_exercised("group_sync")
-
-
-def test_hard_kill_write_through_power_loss_is_exercised():
-    _power_loss_is_exercised("write_through")
 
 
 def test_hard_kill_requires_spill_factory():

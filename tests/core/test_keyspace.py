@@ -186,13 +186,6 @@ class TestLazyProposer:
         assert effects.sends == []
         assert replica.instance("k").proposer is None
 
-    def test_eager_mode_materializes_on_first_touch(self):
-        replica = KeyedCrdtReplica(
-            "r0", list(PEERS), lambda key: GCounter.initial(), eager=True
-        )
-        deliver_merge(replica, "k")
-        assert replica.instance("k").proposer is not None
-
 
 class TestColdKeyEviction:
     def test_capacity_eviction_demotes_lru_quiescent_keys(self):

@@ -11,7 +11,7 @@ operator intervention.
 import pytest
 
 from repro.core.config import CrdtPaxosConfig
-from repro.core.keyspace import _SYNC_TIMER, Keyed, KeyedCrdtReplica
+from repro.core.keyspace import _SYNC_RETRY_DELAY, _SYNC_TIMER, Keyed, KeyedCrdtReplica
 from repro.core.messages import ClientUpdate, Merged, Refused, UpdateDone
 from repro.crdt.gcounter import GCounter, Increment
 from repro.errors import StorageUnavailable
@@ -180,7 +180,7 @@ class TestPersistBeforeAckUnderFaults:
 
     def test_failed_flush_releases_nothing_and_rearms(self):
         """The put lands but the tick's fsync fails: the parked ack stays
-        parked, the tick re-arms on the sync-window cadence (not at
+        parked, the tick re-arms after a positive retry delay (not at
         delay 0 — a sick disk must not spin the driver), and the first
         flush that succeeds after the heal releases it."""
         store = FaultySpillStore(VolatileSpillStore(InMemorySpillStore()))
@@ -190,7 +190,8 @@ class TestPersistBeforeAckUnderFaults:
         store.flush_failure_probability = 1.0
         failed = replica.on_timer(_SYNC_TIMER, 0.0)
         assert failed.sends == []
-        assert failed.timers == [(_SYNC_TIMER, replica.config.durability_sync_window)]
+        assert failed.timers == [(_SYNC_TIMER, _SYNC_RETRY_DELAY)]
+        assert _SYNC_RETRY_DELAY > 0
         assert replica.persist_refusals == 1 and replica.group_commits == 0
         assert disk.get("k") is None
         store.flush_failure_probability = 0.0

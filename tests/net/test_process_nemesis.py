@@ -16,15 +16,15 @@ import asyncio
 
 import pytest
 
-from repro.bench import netbench
 from repro.core.keyspace import Keyed
 from repro.core.messages import ClientQuery, ClientUpdate, QueryDone, UpdateDone
 from repro.crdt.gset import Elements, GSetAdd
 from repro.nemesis import ProcessCluster, run_kill_campaign
+from repro.nemesis.process import sockets_available
 from repro.net.stream import StreamClient
 
 pytestmark = pytest.mark.skipif(
-    not netbench.sockets_available(),
+    not sockets_available(),
     reason="loopback sockets unavailable in this sandbox",
 )
 

@@ -1,27 +1,27 @@
-"""ISSUE-9 smoke: the framed TCP transport and the multi-process rig.
+"""ISSUE-9 smoke: the framed TCP transport.
 
 Tier-1 coverage for the production wire path: a keyed CRDT-Paxos cluster
 on real loopback sockets (one event loop, three
 :class:`~repro.net.stream.StreamNodeServer` instances) serving an update
-and a linearizable read, and one tiny spin of the multi-process bench
-rig.  Both skip cleanly where the sandbox forbids sockets or process
-spawning — the simulator suites cover the protocol itself; these tests
-only pin that the socket plumbing carries it.
+and a linearizable read.  Skips cleanly where the sandbox forbids
+sockets — the simulator suites cover the protocol itself; this only pins
+that the socket plumbing carries it (the multi-process cluster is
+covered by ``test_process_nemesis.py`` and ``perf/test_perf_smoke.py``).
 """
 
 import asyncio
 
 import pytest
 
-from repro.bench import netbench
 from repro.core.config import CrdtPaxosConfig
 from repro.core.keyspace import Keyed, KeyedCrdtReplica
 from repro.core.messages import ClientQuery, ClientUpdate, QueryDone, UpdateDone
 from repro.crdt.gcounter import GCounter, GCounterValue, Increment
+from repro.nemesis.process import sockets_available
 from repro.net.stream import StreamClient, StreamNodeServer
 
 pytestmark = pytest.mark.skipif(
-    not netbench.sockets_available(),
+    not sockets_available(),
     reason="loopback sockets unavailable in this sandbox",
 )
 
@@ -87,22 +87,3 @@ async def _update_then_read() -> None:
 
 def test_socket_cluster_serves_a_linearizable_read():
     asyncio.run(_update_then_read())
-
-
-def test_multiprocess_rig_smoke():
-    """One tiny spin of ``python -m repro.bench net``'s rig: spawn real
-    replica processes, complete a handful of ops, read byte counters."""
-    try:
-        result = netbench.run_cluster(
-            delta_merge=True, n_clients=2, ops_per_client=5, n_keys=2
-        )
-    except (OSError, PermissionError, TimeoutError):
-        pytest.skip("process spawning unavailable in this sandbox")
-    assert result["completed"] >= 1
-    assert result["ops_s"] > 0
-    assert result["bytes_per_op"] > 0
-
-
-def test_rig_skips_cleanly_without_sockets(monkeypatch):
-    monkeypatch.setattr(netbench, "sockets_available", lambda: False)
-    assert netbench.run_net(quick=True) == {}

@@ -17,12 +17,12 @@ import time
 
 import pytest
 
-from repro.bench import netbench
 from repro.core.config import CrdtPaxosConfig
 from repro.core.keyspace import Keyed, KeyedCrdtReplica
 from repro.core.messages import ClientUpdate, UpdateDone
 from repro.crdt.gcounter import GCounter, Increment
 from repro.errors import SerializationError, TransportError
+from repro.nemesis.process import reserve_ports, sockets_available
 from repro.net import stream as stream_mod
 from repro.net.stream import (
     StreamClient,
@@ -33,7 +33,7 @@ from repro.net.stream import (
 HOST = "127.0.0.1"
 
 needs_sockets = pytest.mark.skipif(
-    not netbench.sockets_available(),
+    not sockets_available(),
     reason="loopback sockets unavailable in this sandbox",
 )
 
@@ -319,7 +319,7 @@ def test_request_any_fails_over_to_a_live_replica():
     async def scenario():
         servers, ports = await _start_cluster()
         # The preferred replica's placement points at a dead port.
-        dead_port = netbench.reserve_ports(1)[0]
+        dead_port = reserve_ports(1)[0]
         placements = {nid: (HOST, port) for nid, port in ports.items()}
         placements["r0"] = (HOST, dead_port)
         client = StreamClient("c0", placements, preferred="r0")

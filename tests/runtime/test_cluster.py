@@ -143,40 +143,6 @@ def test_send_cost_charged_to_service_time():
     assert runtime._process.busy_time >= 0.12
 
 
-def test_service_model_io_meter():
-    import pytest
-
-    model = ServiceModel()
-    model.charge_io(0.002)
-    model.charge_io(0.003)
-    assert model.drain_accrued() == pytest.approx(0.005)
-    assert model.drain_accrued() == 0.0  # drain resets the meter
-    with pytest.raises(ValueError):
-        model.charge_io(-1.0)
-
-
-def test_spill_io_charged_to_service_time():
-    """A node reporting storage stalls (drain_spill_accrued, the
-    KeyedCrdtReplica hook) has them billed against its serial CPU: the
-    next message waits behind the IO, so spill latency shapes every
-    benchmark's virtual clock instead of being free."""
-
-    class SpillingNode(EchoNode):
-        def drain_spill_accrued(self) -> float:
-            return 0.04  # each handling step stalled 40ms on storage
-
-    sim = Simulator()
-    network = SimNetwork(sim, latency=ConstantLatency(delay=0.0))
-    node = SpillingNode("n1")
-    runtime = SimNodeRuntime(sim, network, node, ServiceModel(base=0.01))
-    runtime.start()
-    network.send("x", "n1", "a")
-    network.send("x", "n1", "b")
-    sim.run()
-    # on_start + 2 messages each accrued 0.04 of IO on top of service.
-    assert runtime._process.busy_time >= 0.01 * 2 + 0.04 * 2
-
-
 class TestSimCluster:
     def test_builds_and_starts_all_replicas(self):
         sim = Simulator()

@@ -2,7 +2,7 @@
 stale-recovery refusal and the group-commit window.
 
 The §3.3 safety argument for logless recovery assumes every promise a
-peer has *seen* rests on durable state.  Both durable modes enforce that
+peer has *seen* rests on durable state.  ``write_through`` enforces that
 ordering — the key's triple is put in the handling step and its
 certifying acks park until a flush covers it — so the interesting
 failures are the ones between those two points: a torn frame mid-put
@@ -259,51 +259,44 @@ class TestStaleRecoveryRefusal:
 
 
 class TestGroupSync:
+    """The sync tick is a group commit: one flush covers every put since
+    the last tick, and only then are the parked acks released."""
+
     def test_certifying_acks_park_until_the_flush(self):
-        """Under group_sync the put happens in-step but the client's
-        done message waits for the group-commit tick — nothing a learn
-        certificate could rest on escapes before the fsync."""
+        """The puts of several steps happen in-step but every client
+        done message waits for the one group-commit tick — nothing a
+        learn certificate could rest on escapes before the fsync."""
         volatile = VolatileSpillStore(InMemorySpillStore())
-        replica = KeyedCrdtReplica(
-            "r0",
-            ["r0"],
-            lambda key: GCounter.initial(),
-            CrdtPaxosConfig(durability="group_sync", durability_sync_window=0.002),
-            spill_store=volatile,
-        )
+        replica = write_through_replica(volatile)
         effects = update(replica, "k", "u1", amount=4)
+        effects.merge(update(replica, "j", "u2", amount=1))
         assert not any(
             isinstance(m.message, UpdateDone)
             for _, m in effects.sends
             if isinstance(m, Keyed)
         )
         assert volatile.delegate.get("k") is None  # not yet fsynced
-        # The sync timer fires: one flush covers the window, the parked
-        # ack is released.
-        released = replica.on_timer("keyspace-sync", 0.002)
-        assert any(
+        # The sync timer fires: one flush covers both steps, both parked
+        # acks are released.
+        released = replica.on_timer(_SYNC_TIMER, 0.0)
+        assert sum(
             isinstance(m.message, UpdateDone) for _, m in released.sends
-        )
+        ) == 2
         assert volatile.delegate.get("k").state.value() == 4
-        assert replica.group_commits == 1
+        assert volatile.delegate.get("j").state.value() == 1
+        assert (replica.group_commits, replica.group_commit_acks) == (1, 2)
 
     def test_kill_before_the_flush_loses_state_but_leaked_no_ack(self):
         volatile = VolatileSpillStore(InMemorySpillStore())
-        replica = KeyedCrdtReplica(
-            "r0",
-            ["r0"],
-            lambda key: GCounter.initial(),
-            CrdtPaxosConfig(durability="group_sync"),
-            spill_store=volatile,
-        )
+        replica = write_through_replica(volatile)
         update(replica, "k", "u1", amount=4)
-        volatile.crash()  # kill -9 before the sync window closed
+        volatile.crash()  # kill -9 before the sync tick fired
         recovered = KeyedCrdtReplica.recover(
             volatile,
             "r0",
             ["r0"],
             lambda key: GCounter.initial(),
-            CrdtPaxosConfig(durability="group_sync"),
+            CrdtPaxosConfig(durability="write_through"),
             rejoin=True,
         )
         # The update is gone — and that is safe, because its UpdateDone
@@ -371,7 +364,7 @@ class TestDemotionDoesNotRewrite:
 
 
 # ----------------------------------------------------------------------
-# Power loss at every prefix (both durable modes)
+# Power loss at every prefix
 # ----------------------------------------------------------------------
 _PEERS = ["r0", "r1", "r2"]
 _PREFIX_KEYS = ["a", "b", "c"]
@@ -426,7 +419,7 @@ def _subsumed(recovered, state, round_, learned_max):
     return True
 
 
-def _crash_at_every_prefix(durability, gla, seed, n_requests) -> set[type]:
+def _crash_at_every_prefix(gla, seed, n_requests) -> set[type]:
     """A seeded random interleaving of client commands, peer traffic (in
     any order) and sync ticks at ``r0``, run to quiescence over a store
     that forgets everything since its last flush.  After every step the
@@ -435,7 +428,7 @@ def _crash_at_every_prefix(durability, gla, seed, n_requests) -> set[type]:
     far attested.  Returns the kinds of certifying message that escaped."""
     rng = random.Random(seed)
     config = CrdtPaxosConfig(
-        durability=durability,
+        durability="write_through",
         gla_stability=gla,
         request_timeout=None,
         keyed_max_resident=1,
@@ -519,22 +512,20 @@ def _crash_at_every_prefix(durability, gla, seed, n_requests) -> set[type]:
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(
-    durability=st.sampled_from(("write_through", "group_sync")),
     gla=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     n_requests=st.integers(3, 12),
 )
 def test_power_loss_at_every_prefix_loses_nothing_an_ack_attested(
-    durability, gla, seed, n_requests
+    gla, seed, n_requests
 ):
-    _crash_at_every_prefix(durability, gla, seed, n_requests)
+    _crash_at_every_prefix(gla, seed, n_requests)
 
 
-@pytest.mark.parametrize("durability", ["write_through", "group_sync"])
-def test_power_loss_property_is_exercised(durability):
+def test_power_loss_property_is_exercised():
     """Vacuity guard: acceptor acks and client completions all escape
-    (and are all checked) under either mode."""
+    (and are all checked)."""
     kinds: set[type] = set()
     for seed in range(8):
-        kinds |= _crash_at_every_prefix(durability, True, seed, 10)
+        kinds |= _crash_at_every_prefix(True, seed, 10)
     assert {Merged, PrepareAck, UpdateDone, QueryDone} <= kinds

@@ -14,7 +14,6 @@ from repro.crdt.gcounter import GCounter
 from repro.errors import SpillCorruption
 from repro.storage import (
     InMemorySpillStore,
-    LatencySpillStore,
     SegmentedSpillStore,
     SpillRecord,
     VolatileSpillStore,
@@ -27,7 +26,7 @@ def record(value: int = 1) -> SpillRecord:
     )
 
 
-@pytest.fixture(params=["memory", "segmented", "latency", "volatile"])
+@pytest.fixture(params=["memory", "segmented", "volatile"])
 def store(request, tmp_path):
     if request.param == "memory":
         yield InMemorySpillStore()
@@ -35,8 +34,6 @@ def store(request, tmp_path):
         backend = SegmentedSpillStore(tmp_path / "spill")
         yield backend
         backend.close()
-    elif request.param == "latency":
-        yield LatencySpillStore(InMemorySpillStore())
     else:
         yield VolatileSpillStore(InMemorySpillStore())
 
@@ -491,59 +488,3 @@ class TestVolatile:
         # ...but the plug pulled before the flush resurrects it.
         store.crash()
         assert store.get("k").state.value() == 4
-
-
-class TestLatencyModel:
-    def test_accounting_is_deterministic(self):
-        def run():
-            store = LatencySpillStore(
-                InMemorySpillStore(),
-                read_seconds=100e-6,
-                write_seconds=150e-6,
-            )
-            for i in range(10):
-                store.put(f"k{i}", record(i + 1))
-            for i in range(10):
-                store.get(f"k{i}")
-            store.get("missing")  # misses are free (nothing was read)
-            return store.reads, store.writes, store.accrued_seconds
-
-        assert run() == run()
-        reads, writes, accrued = run()
-        assert (reads, writes) == (10, 10)
-        assert accrued == pytest.approx(10 * 100e-6 + 10 * 150e-6)
-
-    def test_per_byte_cost_scales_with_record_size(self):
-        flat = LatencySpillStore(InMemorySpillStore(), per_byte_seconds=1e-9)
-        small = SpillRecord(GCounter.of({"r0": 1}), Round.initial())
-        big = SpillRecord(
-            GCounter.of({f"replica-{i}": i + 1 for i in range(200)}),
-            Round.initial(),
-        )
-        flat.put("small", small)
-        small_cost = flat.drain_accrued()
-        flat.put("big", big)
-        big_cost = flat.drain_accrued()
-        assert big_cost > small_cost
-
-    def test_drain_resets_the_meter(self):
-        store = LatencySpillStore(InMemorySpillStore())
-        store.put("k", record())
-        assert store.drain_accrued() > 0
-        assert store.drain_accrued() == 0.0
-
-    def test_delete_meta_and_flush_are_charged_too(self):
-        """Tombstones and meta frames are real writes on append-mostly
-        backends, and flush models the fsync — none of them is free."""
-        store = LatencySpillStore(
-            InMemorySpillStore(), write_seconds=1e-4, flush_seconds=5e-4
-        )
-        store.put("k", record())
-        store.drain_accrued()
-        store.delete("k")
-        assert store.drain_accrued() == pytest.approx(1e-4)
-        store.put_meta({"batch_counter": 1})
-        assert store.drain_accrued() == pytest.approx(1e-4)
-        store.flush()
-        assert store.drain_accrued() == pytest.approx(5e-4)
-        assert store.writes == 3  # put + tombstone + meta

@@ -73,7 +73,7 @@ def test_sharded_store():
 
 
 def test_net_cluster():
-    from repro.bench.netbench import sockets_available
+    from repro.nemesis.process import sockets_available
 
     if not sockets_available():
         pytest.skip("loopback sockets unavailable in this sandbox")

@@ -7,7 +7,8 @@ sized payload blob, in a spill record, key or meta frame — is refused
 with :class:`SerializationError` (:class:`SpillCorruption` on the
 storage paths) and never reaches ``pickle.loads``, which these tests
 booby-trap.  A source scan keeps the second codec and the second sizer
-from coming back.
+from coming back, and a second scan keeps the retired second benchmark
+harness gone.
 """
 
 import ast
@@ -38,7 +39,8 @@ from repro.wire.values import (
 )
 from repro.wire.varint import write_uvarint
 
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 
 #: The retired pickle value tag.
 OLD_PICKLE_TAG = 12
@@ -180,4 +182,39 @@ def test_no_source_module_imports_pickle_or_defines_a_second_sizer():
                     where.as_posix() == "repro/net/message.py" and node in tree.body
                 ):
                     offenders.append(f"{where}:{node.lineno} defines wire_size")
+    assert not offenders, "\n".join(offenders)
+
+
+# ----------------------------------------------------------------------
+# Guard: one benchmark harness
+# ----------------------------------------------------------------------
+def _imported_modules(node: ast.AST) -> list[str]:
+    """Dotted names an import statement may bind (``from a import b``
+    yields ``a.b``, which catches ``from repro import bench``)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_only_the_figure_driver_imports_repro_bench_and_no_gate_remains():
+    """``perf/`` is the one performance harness; ``repro.bench`` only
+    regenerates the paper's figures, so nothing else in the library may
+    lean on it, and the retired gate's snapshots stay deleted."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC.parent)
+        if where.parts[:2] == ("repro", "bench"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            for module in _imported_modules(node):
+                if module == "repro.bench" or module.startswith("repro.bench."):
+                    offenders.append(f"{where}:{node.lineno} imports {module}")
+    offenders += [path.name for path in sorted(ROOT.glob("BENCH_PR*.json"))]
+    offenders += [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "benchmarks").glob("*baseline*.json"))
+    ]
     assert not offenders, "\n".join(offenders)
