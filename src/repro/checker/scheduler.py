@@ -29,6 +29,13 @@ keyed deployment (:class:`~repro.core.keyspace.KeyedCrdtReplica`) with a
 small ``keyed_max_resident`` cap, so cold-key eviction and rehydration
 churn *under* adversarial traffic; per-key histories are validated
 independently (keys never synchronize with each other).
+
+Both explorers replicate G-Counters (inclusion of an increment is exact
+there) starting from ``initial``, the empty counter by default.  A
+counter padded with dormant zero slots has the same inclusion tags and
+validity bounds but an encoding past the codec's sized crossover, which
+puts the run on the large-payload paths: memoised blobs, interning and
+digest-first PREPAREs.
 """
 
 from __future__ import annotations
@@ -194,6 +201,8 @@ class ExplorationReport:
     timer_fires: int = 0
     #: Deepest update pipeline any replica reached (1 = stop-and-wait).
     max_update_pipeline: int = 0
+    #: Digest-first PREPAREs acked as a fingerprint match, all replicas.
+    prepares_matched: int = 0
 
     @property
     def all_complete(self) -> bool:
@@ -211,10 +220,12 @@ class InterleavingExplorer:
         n_replicas: int = 3,
         n_clients: int = 3,
         config: CrdtPaxosConfig | None = None,
+        initial: GCounter = GCounter.initial(),
     ) -> None:
         self.seed = seed
         self.n_replicas = n_replicas
         self.n_clients = n_clients
+        self.initial = initial
         base = config or CrdtPaxosConfig()
         # Batching and retry backoff are preserved: with either on, the
         # flush/retry timers become adversarially scheduled events (see
@@ -252,7 +263,7 @@ class InterleavingExplorer:
         )
         for replica_id in replica_ids:
             node = CrdtPaxosReplica(
-                replica_id, list(replica_ids), GCounter.initial(), self.config
+                replica_id, list(replica_ids), self.initial, self.config
             )
             runtimes[replica_id] = _DirectRuntime(
                 sim, network, node, collect_timers=self._collect_timers
@@ -352,6 +363,10 @@ class InterleavingExplorer:
                 runtime.node.proposer.stats.max_update_pipeline
                 for runtime in runtimes.values()
             ),
+            prepares_matched=sum(
+                runtime.node.acceptor.stats.prepares_matched
+                for runtime in runtimes.values()
+            ),
         )
 
 
@@ -440,6 +455,8 @@ class KeyedExplorationReport:
     keyed_batches_unpacked: int = 0
     #: Parked envelopes superseded in place (coalescing-aware re-drives).
     keyed_envelopes_superseded: int = 0
+    #: Digest-first PREPAREs acked as a fingerprint match.
+    prepares_matched: int = 0
 
     @property
     def all_complete(self) -> bool:
@@ -510,8 +527,11 @@ class KeyedInterleavingExplorer:
         spill_factory: Callable[[], SpillStore] | None = None,
         keep_timeouts: bool = False,
         spill_reopen: Callable[[str, SpillStore], SpillStore] | None = None,
+        initial: GCounter = GCounter.initial(),
     ) -> None:
         self.seed = seed
+        #: Every key's initial payload.
+        self.initial = initial
         self.n_replicas = n_replicas
         self.n_clients = n_clients
         self.keys = [f"k{i}" for i in range(n_keys)]
@@ -574,6 +594,7 @@ class KeyedInterleavingExplorer:
         report.keyed_envelopes_superseded += (
             node.acceptor_stats.keyed_envelopes_superseded
         )
+        report.prepares_matched += node.acceptor_stats.prepares_matched
         report.rejoin_refreshes += node.rejoin_refreshes
         report.write_through_persists += node.write_through_persists
         report.group_commits += node.group_commits
@@ -605,7 +626,7 @@ class KeyedInterleavingExplorer:
             self.spill_stores[old.node_id],
             old.node_id,
             list(replica_ids),
-            lambda key: GCounter.initial(),
+            self._initial_for,
             self.config,
         )
         runtime.node = fresh
@@ -646,7 +667,7 @@ class KeyedInterleavingExplorer:
             store,
             old.node_id,
             list(replica_ids),
-            lambda key: GCounter.initial(),
+            self._initial_for,
             self.config,
             rejoin=True,
         )
@@ -657,6 +678,9 @@ class KeyedInterleavingExplorer:
         # prepares enter the adversarial pool like any other traffic.
         runtime._apply(fresh.rejoin())
         report.hard_kills += 1
+
+    def _initial_for(self, key: Hashable) -> GCounter:
+        return self.initial
 
     @staticmethod
     def _sim_now(runtime: _DirectRuntime) -> float:
@@ -718,7 +742,7 @@ class KeyedInterleavingExplorer:
             node = KeyedCrdtReplica(
                 replica_id,
                 list(replica_ids),
-                lambda key: GCounter.initial(),
+                self._initial_for,
                 self.config,
                 spill_store=spill_store,
             )

@@ -37,6 +37,7 @@ class AcceptorStats:
         "merges_handled",
         "prepares_accepted",
         "prepares_rejected",
+        "prepares_matched",
         "votes_granted",
         "votes_denied",
         "keyed_batches_packed",
@@ -51,6 +52,9 @@ class AcceptorStats:
         self.merges_handled = 0
         self.prepares_accepted = 0
         self.prepares_rejected = 0
+        #: Digest-first PREPAREs whose fingerprint matched this acceptor's
+        #: state, answered with ``state=None`` instead of the payload.
+        self.prepares_matched = 0
         self.votes_granted = 0
         self.votes_denied = 0
         #: Keyed-envelope coalescing (``keyed_coalesce_window``): framed
@@ -117,20 +121,20 @@ class Acceptor:
         as in the paper's algorithm.
 
         When the Merge carries an anti-entropy ``digest`` (the sender's
-        full-state digest, delta mode), the ack reports whether this
-        acceptor's post-join state hashes differently — the one-integer
-        probe the proposer's anti-entropy repair loop watches.
+        full-state fingerprint, delta mode), the ack reports whether this
+        acceptor's post-join state fingerprints differently — the probe
+        the proposer's anti-entropy repair loop watches.
         """
         self.state = self.state.join(msg.state)
         self.round = self.round.with_write_id()
         self.stats.merges_handled += 1
         if msg.digest is None:
             return Merged(request_id=msg.request_id)
-        from repro.wire.digest import stable_digest
+        from repro.wire.digest import fingerprint
 
         return Merged(
             request_id=msg.request_id,
-            diverged=stable_digest(self.state) != msg.digest,
+            diverged=fingerprint(self.state) != msg.digest,
         )
 
     # ------------------------------------------------------------------
@@ -143,9 +147,22 @@ class Acceptor:
         rejected prepare still disseminates state.  Incremental prepares
         are always accepted; fixed prepares only with a strictly larger
         round number.
+
+        A digest-first PREPARE states the proposer's payload by its
+        fingerprint (``bytes``) instead: it joins nothing and moves only
+        the round, and when this acceptor's state has that fingerprint
+        the reply carries ``state=None`` — "equal to what you stated" —
+        instead of shipping the payload back.
         """
-        if msg.state is not None:
+        matched = False
+        if type(msg.state) is bytes:
+            from repro.wire.digest import fingerprint
+
+            matched = fingerprint(self.state) == msg.state
+            self.stats.prepares_matched += matched
+        elif msg.state is not None:
             self.state = self.state.join(msg.state)
+        state = None if matched else self.state
 
         proposed = msg.round
         if proposed.is_incremental:
@@ -158,14 +175,14 @@ class Acceptor:
                 request_id=msg.request_id,
                 attempt=msg.attempt,
                 round=self.round,
-                state=self.state,
+                state=state,
             )
         self.stats.prepares_rejected += 1
         return PrepareNack(
             request_id=msg.request_id,
             attempt=msg.attempt,
             round=self.round,
-            state=self.state,
+            state=state,
         )
 
     def handle_vote(self, msg: Vote) -> Voted | VoteNack:

@@ -31,8 +31,13 @@ class CrdtPaxosConfig:
         the vote phase when a quorum answered with equivalent payloads.
         Disabling it is an ablation, not a recommended mode.
     ``include_state_in_prepare``
-        Ship the proposer's local payload in PREPARE messages to speed up
-        convergence (never ships ``s0``; §3.6).
+        State the proposer's local payload in PREPARE messages to speed up
+        convergence (never ships ``s0``; §3.6).  A small payload is shipped
+        and joined by every acceptor.  A large one (past the codec's sized
+        crossover) is stated *digest-first*, by its 128-bit fingerprint:
+        an acceptor holding an equal state acks without shipping it back,
+        any other acks with its full state, and none joins it — the vote
+        phase still disseminates the LUB.  ``False`` states neither.
     ``batching`` / ``batch_window``
         Per-proposer update and query batches (§3.6).  Buffered commands
         are applied locally; message count and size are independent of the
@@ -59,20 +64,21 @@ class CrdtPaxosConfig:
         query path.
     ``anti_entropy`` / ``anti_entropy_threshold`` / ``anti_entropy_interval``
         Delta-mode repair loop (requires ``delta_merge``).  Every MERGE
-        carries the proposer's full-state digest; each MERGED ack says
-        whether the acceptor's post-join state hashed differently.  A peer
-        answering ``diverged`` ``anti_entropy_threshold`` consecutive
-        times gets one full-state MERGE push (request id prefixed
+        carries the 128-bit fingerprint of the proposer's full state; each
+        MERGED ack says whether the acceptor's post-join state fingerprints
+        differently.  A peer answering ``diverged``
+        ``anti_entropy_threshold`` consecutive times gets one full-state
+        MERGE push (request id prefixed
         ``ae:``), rate-limited to one push per peer per
         ``anti_entropy_interval`` seconds.  This closes the delta-mode
         dissemination gap: a peer that missed a delta (dropped MERGE whose
         batch reached quorum without it) would otherwise stay divergent
         until the next query touches it.  Off by default — the probe costs
         a canonical encoding of every *new* full state on both sides (the
-        digest is a CRC32 of the state's memoised wire blob, so a state
-        already encoded for a PREPARE, or unchanged since the last probe,
-        is fingerprinted without encoding it again; a small state, below
-        the codec's sized crossover, is cheap to encode each time).
+        fingerprint is memoised on the state and hashes its memoised wire
+        blob, so a state already encoded for a PREPARE, or unchanged since
+        the last probe, costs nothing more; a small state, below the
+        codec's sized crossover, is cheap to encode each time).
     ``request_timeout``
         Client-request supervision: how long a proposer waits before
         re-driving an open request (resending MERGEs / starting a fresh

@@ -6,7 +6,12 @@ counter per message".  ``request_id`` strings correlate replies with the
 originating request (or batch); acceptors echo them verbatim.
 
 VOTED deliberately carries **no payload** (§3.6): the proposer already
-knows the state it proposed.
+knows the state it proposed.  For the same reason a *large* payload is
+not shipped in either direction of a PREPARE when both ends already hold
+it: the proposer states it by its 128-bit fingerprint
+(:func:`repro.wire.digest.fingerprint`), and an acceptor holding a state
+with that fingerprint acks with ``state=None`` — "equal to what you
+stated" — so a read of an unchanged 8 kB state moves a few dozen bytes.
 
 Sizes are not declared here: a message's size is the length of its
 encoded wire body (:func:`repro.net.message.wire_size`), and a large
@@ -203,17 +208,16 @@ class Merge:
     """Update path: merge this payload into the acceptor's state.
 
     ``digest`` is the anti-entropy probe (delta mode only, see
-    ``config.anti_entropy``): the proposer's *full-state* stable digest
-    at send time.  The acceptor compares it against its own post-join
-    digest and flags divergence in the MERGED ack — the cost on the wire
-    is one integer, the paper's "single counter per message" discipline.
+    ``config.anti_entropy``): the 128-bit fingerprint of the proposer's
+    *full* state at send time.  The acceptor compares it against its own
+    post-join fingerprint and flags divergence in the MERGED ack.
     ``None`` (the default, and always in full-state mode) disables the
     comparison.
     """
 
     request_id: str
     state: StateCRDT
-    digest: int | None = None
+    digest: bytes | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +225,7 @@ class Merged:
     """Acceptor acknowledgement of a Merge.
 
     ``diverged`` answers the Merge's anti-entropy probe: the acceptor's
-    post-join full state hashed differently from the sender's digest —
+    post-join full state fingerprints differently from the sender's —
     the two replicas hold different payloads (either may hold updates
     the other lacks).  Always ``False`` when the Merge carried no digest.
     """
@@ -235,23 +239,39 @@ class Prepare:
     """Phase 1: announce intent to learn; round may be incremental.
 
     ``state`` is optional (§3.6: never ship ``s0``; shipping a recent local
-    state speeds convergence but is not needed for safety).
+    state speeds convergence but is not needed for safety).  It is one of:
+
+    * ``None`` — nothing stated;
+    * a payload — joined by the acceptor unconditionally (line 37);
+    * ``bytes`` — the 16-byte fingerprint of a large payload the proposer
+      holds (*digest-first*): the acceptor joins nothing, and acks with
+      ``state=None`` when its own state has that fingerprint.
+
+    A proposer states by fingerprint only once its payloads are past the
+    codec's sized crossover, so every small PREPARE keeps its exact
+    bytes; a field carrying either type is why the format is wire v3.
     """
 
     request_id: str
     attempt: int
     round: Round
-    state: StateCRDT | None = None
+    state: StateCRDT | bytes | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class PrepareAck:
-    """Acceptor accepted the prepare; carries its round and payload."""
+    """Acceptor accepted the prepare; carries its round and payload.
+
+    ``state=None`` answers a digest-first PREPARE: the acceptor's payload
+    has the fingerprint the proposer stated, so the proposer uses the
+    object it stated (equal payloads answer every query alike).  Any other
+    ack carries the acceptor's full payload.
+    """
 
     request_id: str
     attempt: int
     round: Round
-    state: StateCRDT
+    state: StateCRDT | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,13 +280,14 @@ class PrepareNack:
 
     Carries the acceptor's current round and payload so the proposer can
     retry with a larger number and a fresher state (§3.2, Retrying
-    Requests).
+    Requests) — ``None`` for the payload the proposer stated, exactly as
+    in :class:`PrepareAck`.
     """
 
     request_id: str
     attempt: int
     round: Round
-    state: StateCRDT
+    state: StateCRDT | None
 
 
 @dataclass(frozen=True, slots=True)

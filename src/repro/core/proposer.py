@@ -45,6 +45,16 @@ remain single-flight per batched proposer (the §3.5 liveness argument
 relies on one prepare front per proposer).  ``ProposerStats`` exposes the
 observed pipeline depth.
 
+**Digest-first PREPARE**: a proposer whose payloads are past the codec's
+sized crossover states its payload to peers by the 128-bit fingerprint
+(:func:`repro.wire.digest.fingerprint`) instead of the state.  A peer
+whose state has that fingerprint acks with ``state=None`` and the
+proposer folds in the object it stated — the two are equal, and equal
+payloads answer every query alike — so a read of an unchanged large state
+moves no payload at all; any other peer acks with its full state, as
+before.  Shipping the state is always safe, so when the proposer cannot
+tell cheaply that its payload is large (no memoised blob yet) it ships.
+
 **Hot-path accumulation**: quorum folds use
 :class:`~repro.crdt.base.MergeAccumulator` and the payloads' digest/join
 short-circuits, so a quorum acking with equal payloads is folded without
@@ -135,6 +145,9 @@ class _QueryBatch:
     acks: dict[str, tuple[Round, StateCRDT]] = field(default_factory=dict)
     voted: set[str] = field(default_factory=set)
     proposed: StateCRDT | None = None
+    #: The payload the current attempt's PREPARE stated (None if it stated
+    #: none): what a ``state=None`` ack or nack of that attempt stands for.
+    stated: StateCRDT | None = None
     max_round_number: int = 0
     round_trips: int = 0
     retry_kind: str = "incremental"
@@ -151,9 +164,8 @@ class _QueryBatch:
 class ProposerStats:
     """Aggregate counters exposed for benchmarks and debugging.
 
-    Slotted: a keyed replica shares one instance across every per-key
-    proposer it hosts, but eager (per-key) instances still allocate one
-    each, so the footprint matters at scale.
+    Slotted: a single-instance replica owns one and a keyed replica shares
+    one across every per-key proposer it hosts.
     """
 
     __slots__ = (
@@ -316,6 +328,7 @@ class Proposer:
         "_learned_max",
         "_ae_divergent",
         "_ae_last_push",
+        "_sized",
     )
 
     def __init__(
@@ -345,6 +358,13 @@ class Proposer:
         # keeps idle per-key footprint at a handful of words.
         self._ae_divergent: dict[str, int] | None = None
         self._ae_last_push: dict[str, float] | None = None
+        # Set once a payload this proposer stated carries a memoised wire
+        # blob, i.e. its payloads are past the codec's sized crossover:
+        # from then on PREPAREs state by fingerprint (digest-first) even a
+        # fresh payload that has no blob yet.  A small payload never gets
+        # a blob, so a G-Counter never encodes anything to find out it is
+        # small.
+        self._sized = False
 
     # ------------------------------------------------------------------
     # Flyweight accessors
@@ -530,15 +550,15 @@ class Proposer:
         return effects
 
     def _merge_message(self, request_id: str, state: StateCRDT) -> Merge:
-        """A MERGE, digest-stamped when the anti-entropy probe is on."""
+        """A MERGE, fingerprint-stamped when the anti-entropy probe is on."""
         if not self._config.anti_entropy:
             return Merge(request_id=request_id, state=state)
-        from repro.wire.digest import stable_digest
+        from repro.wire.digest import fingerprint
 
         return Merge(
             request_id=request_id,
             state=state,
-            digest=stable_digest(self._acceptor.state),
+            digest=fingerprint(self._acceptor.state),
         )
 
     def on_merged(self, src: str, msg: Merged, now: float) -> Effects:
@@ -637,7 +657,14 @@ class Proposer:
         return effects
 
     def _start_attempt(self, batch: _QueryBatch, kind: str) -> Effects:
-        """Send PREPAREs for a fresh attempt (incremental or fixed)."""
+        """Send PREPAREs for a fresh attempt (incremental or fixed).
+
+        Digest-first: once this proposer's payloads are large (see
+        ``_sized``) the peers' PREPARE states the payload by its
+        fingerprint, and a peer holding an equal state acks without
+        shipping it back.  The co-located acceptor still gets the payload
+        itself — handing it over costs nothing.
+        """
         batch.attempt += 1
         batch.phase = "prepare"
         batch.acks = {}
@@ -652,20 +679,31 @@ class Proposer:
             round_ = Round(batch.max_round_number + 1, rid)
         batch.sent_round = round_
 
-        state: StateCRDT | None = None
+        stated: StateCRDT | None = None
         if self._config.include_state_in_prepare and not batch.accumulated.equivalent(
             self._initial_state
         ):
-            state = batch.accumulated
+            stated = batch.accumulated
+        batch.stated = stated
 
         message = Prepare(
             request_id=batch.batch_id,
             attempt=batch.attempt,
             round=round_,
-            state=state,
+            state=stated,
         )
+        remote = message
+        if stated is not None and (self._sized or stated.wire_blob() is not None):
+            from repro.wire.digest import fingerprint
+
+            remote = Prepare(
+                request_id=batch.batch_id,
+                attempt=batch.attempt,
+                round=round_,
+                state=fingerprint(stated),
+            )
         effects = Effects()
-        effects.broadcast(self._remotes, message)
+        effects.broadcast(self._remotes, remote)
         # The co-located acceptor handles its PREPARE synchronously.
         local_reply = self._acceptor.handle_prepare(message)
         if isinstance(local_reply, PrepareAck):
@@ -691,8 +729,11 @@ class Proposer:
             # partitioned minority proposer would re-prepare forever
             # instead of refusing at ``redrive_limit``.
             batch.redrive_rounds = 0  # see on_merged
-        batch.acks[src] = (msg.round, msg.state)
-        batch.accumulator.add(msg.state)
+        # ``None``: the acceptor holds exactly what this attempt stated
+        # (digest-first match), so the stated object stands in for it.
+        state = batch.stated if msg.state is None else msg.state
+        batch.acks[src] = (msg.round, state)
+        batch.accumulator.add(state)
         batch.max_round_number = max(batch.max_round_number, msg.round.number)
         if not self._quorum.is_quorum(batch.acks.keys()):
             return Effects()
@@ -738,7 +779,7 @@ class Proposer:
         batch = self._current(msg.request_id, msg.attempt)
         if batch is None or batch.phase != "prepare":
             return Effects()
-        batch.accumulator.add(msg.state)
+        batch.accumulator.add(batch.stated if msg.state is None else msg.state)
         batch.max_round_number = max(batch.max_round_number, msg.round.number)
         self.stats.prepare_retries += 1
         return self._retry(batch, self._config.retry_prepare)
@@ -809,6 +850,12 @@ class Proposer:
             if self._learned_max is not None and not self._learned_max.compare(state):
                 state = self._learned_max
             self._learned_max = state
+
+        stated = batch.stated
+        if not self._sized and stated is not None and stated.wire_blob() is not None:
+            # The statement crossed the wire as a sized blob: this key's
+            # payloads are large, so later queries state by fingerprint.
+            self._sized = True
 
         effects = Effects()
         del self._query_batches[batch.batch_id]

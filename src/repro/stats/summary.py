@@ -28,7 +28,9 @@ def percentile(data: Sequence[float], p: float) -> float:
     rank = (len(ordered) - 1) * (p / 100.0)
     low = math.floor(rank)
     high = math.ceil(rank)
-    if low == high:
+    if low == high or ordered[low] == ordered[high]:
+        # Equal neighbours: interpolating would only add rounding error
+        # (a subnormal halved underflows to 0.0, below both of them).
         return ordered[low]
     weight = rank - low
     return ordered[low] * (1 - weight) + ordered[high] * weight

@@ -51,9 +51,9 @@ rest hangs on: it lets both ends treat the body as one opaque *blob*.
 * *Encode once.*  The blob is memoised on the payload object (payloads
   are immutable), beside its digest and stamp.  Broadcasting a PREPARE
   to N peers, acknowledging with an acceptor state that has not changed
-  since it was last sent, and fingerprinting a state for anti-entropy
-  (:func:`~repro.wire.digest.stable_digest`) all reuse it: the second
-  and later sends are a ``memcpy``.
+  since it was last sent, and fingerprinting a state
+  (:func:`~repro.wire.digest.fingerprint`) all reuse it: the second and
+  later sends are a ``memcpy``.
 * *Decode at most once.*  The decoder slices the blob out and looks it
   up in the process's intern table before parsing.  A hit returns the
   payload already resident — the same object, so the proposer's
@@ -93,26 +93,44 @@ so digests, ring placement and spill keys are functions of canonical
 bytes alone.  Interning is invisible to the protocol: a hit and a parse
 return equal payloads, and equal payloads answer every query alike.
 
+Wire format v3
+==============
+
+Version 3 changes no encoding; it changes what two message fields may
+hold.  ``Prepare.state`` may be ``bytes`` — the 16-byte fingerprint of
+the payload the proposer states — and ``PrepareAck.state`` /
+``PrepareNack.state`` may be ``None``, meaning "equal to the payload you
+stated".  A version-2 reader would join the bytes as a payload, so the
+version byte moves and a version-2 frame is refused like a version-1
+one.  A proposer states by fingerprint only once its
+payloads reach the sized crossover (they carry a memoised blob), so every
+small PREPARE — every G-Counter read — has exactly its version-2 body.
+See :mod:`repro.core.messages` and :func:`repro.wire.digest.fingerprint`.
+
 **Sizing.**  :func:`repro.net.message.wire_size` (re-exported here as
 ``exact_wire_size``) is ``len(encode_body(value))``: simulator byte
 accounting reports the real encoded length of every message.
 
-**Stable keys & digests** (:mod:`repro.wire.keys`,
+**Stable keys & fingerprints** (:mod:`repro.wire.keys`,
 :mod:`repro.wire.digest`).  ``encode_key`` gives spill files and the
-sharding ring one canonical byte string per key across processes;
-``stable_digest`` is a CRC32 over a payload's canonical encoding — the
-cross-process state fingerprint delta anti-entropy compares.
+sharding ring one canonical byte string per key across processes.
+``fingerprint`` is the one cross-process state digest: 128 bits of
+BLAKE2b over a payload's canonical encoding (its memoised blob when it
+has one), memoised on the payload.  Digest-first PREPAREs *trust* a
+match — the acceptor's ack then carries no state and the proposer uses
+its own equal payload — which is why it is 128 bits and not a checksum;
+delta anti-entropy compares the same fingerprint as a hint.
 
 **Delta replication** (see :mod:`repro.core.proposer`).  With
 ``delta_merge`` a proposer ships join-decompositions — the op's delta,
 and on re-drive the accumulated deltas since the batch opened — instead
 of full states.  A delta MERGE carries the proposer's full-state
-digest; the acceptor answers MERGED with its own post-join digest, and
-when a peer's digest keeps disagreeing (it likely missed earlier
+fingerprint; the acceptor answers MERGED with whether its post-join
+fingerprint differs, and when a peer keeps disagreeing (it likely missed earlier
 deltas, e.g. across a partition or restart) the proposer pushes one
 full-state MERGE to re-sync it (``anti_entropy`` config).  Shipping a
 full state is always safe — it is exactly the pre-delta wire payload —
-so digest collisions or false mismatches cost bandwidth, never safety.
+so a false mismatch there costs bandwidth, never safety.
 
 The transports put all of this on the wire: the asyncio network and
 the socket transport (:mod:`repro.net.stream`, one process per replica
@@ -122,7 +140,7 @@ campaigns exercise the codec end to end.
 """
 
 from repro.wire import registry as _registry  # noqa: F401  (assigns wire tags)
-from repro.wire.digest import stable_digest
+from repro.wire.digest import fingerprint
 from repro.wire.framing import (
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -149,8 +167,8 @@ __all__ = [
     "encode_frame",
     "encode_key",
     "exact_wire_size",
+    "fingerprint",
     "registered_classes",
     "spec_for",
-    "stable_digest",
     "stable_key_hash",
 ]

@@ -29,7 +29,10 @@ from repro.wire.varint import write_uvarint
 WIRE_MAGIC = b"Cw"
 #: 2: CRDT payload bodies may travel as sized blobs (``T_SIZED``), which a
 #: version-1 reader would reject as an unknown value tag.
-WIRE_VERSION = 2
+#: 3: a PREPARE may state its payload by fingerprint (``bytes``) and its
+#: acks may carry ``state=None``; a version-2 reader would try to join the
+#: bytes as a payload.
+WIRE_VERSION = 3
 
 _PREFIX = WIRE_MAGIC + bytes([WIRE_VERSION])
 _PREFIX_BYTES = len(_PREFIX)

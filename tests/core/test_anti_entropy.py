@@ -3,9 +3,9 @@
 Delta MERGEs disseminate only what changed, so a peer that misses one
 (dropped envelope, batch reached quorum without it) holds a permanent
 gap no later delta fills.  ``config.anti_entropy`` closes the gap with a
-one-integer probe per message: MERGEs carry the sender's full-state
-digest, MERGED acks answer whether the acceptor's post-join state hashed
-differently, and a peer diverging ``anti_entropy_threshold`` consecutive
+16-byte probe per message: MERGEs carry the fingerprint of the sender's
+full state, MERGED acks answer whether the acceptor's post-join state
+fingerprints differently, and a peer diverging ``anti_entropy_threshold`` consecutive
 times gets one rate-limited full-state MERGE (request id ``ae:...``).
 """
 
@@ -18,7 +18,7 @@ from repro.core.replica import CrdtPaxosReplica
 from repro.crdt.gcounter import GCounter, Increment
 from repro.errors import ConfigurationError
 from repro.net.faults import FaultPlan, LinkDisruption
-from repro.wire.digest import stable_digest
+from repro.wire.digest import fingerprint
 
 
 def test_anti_entropy_requires_delta_merge():
@@ -38,17 +38,16 @@ def test_acceptor_answers_digest_probe():
     acceptor = Acceptor(GCounter.initial())
     incoming = Increment(3).apply(GCounter.initial(), "r1")
 
+    probe = fingerprint(incoming)
+    assert type(probe) is bytes and len(probe) == 16
+
     # Sender and receiver converge on the same state: no divergence.
-    ack = acceptor.handle_merge(
-        Merge(request_id="m1", state=incoming, digest=stable_digest(incoming))
-    )
+    ack = acceptor.handle_merge(Merge(request_id="m1", state=incoming, digest=probe))
     assert ack == Merged(request_id="m1", diverged=False)
 
     # The receiver holds extra updates the sender lacks: diverged.
     acceptor.apply_update(Increment(1), "r2")
-    ack = acceptor.handle_merge(
-        Merge(request_id="m2", state=incoming, digest=stable_digest(incoming))
-    )
+    ack = acceptor.handle_merge(Merge(request_id="m2", state=incoming, digest=probe))
     assert ack.diverged
 
     # No digest, no probe — full-state mode and ae: pushes take this path.
@@ -80,7 +79,8 @@ def test_consecutive_divergence_triggers_one_full_state_push():
             "c", ClientUpdate(request_id=f"u{i}", op=Increment(1)), float(i)
         )
         (merge,) = _merges_to(effects, "r1")
-        assert merge.digest is not None  # every delta MERGE probes
+        # Every delta MERGE probes with the full state's fingerprint.
+        assert merge.digest == fingerprint(replica.state)
         # r2 acks clean (quorum), r1 keeps answering diverged.
         replica.on_message(
             "r2", Merged(request_id=merge.request_id), float(i) + 0.1

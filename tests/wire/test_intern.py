@@ -29,7 +29,7 @@ from repro.wire import (
     decode_body,
     encode_body,
     encode_frame,
-    stable_digest,
+    fingerprint,
 )
 from repro.wire.values import T_OBJ, T_SIZED
 
@@ -177,17 +177,20 @@ def test_identity_never_crosses_class_tags():
     assert type(decode_body(set_body)) is GSet
 
 
-def test_stable_digest_is_the_crc_of_the_memoised_blob():
-    import zlib
+def test_fingerprint_is_the_memoised_blake2b_of_the_memoised_blob():
+    from hashlib import blake2b
 
     state = big_map()
-    assert stable_digest(state) == zlib.crc32(state.wire_blob())
+    print_ = fingerprint(state)
     blob = state.wire_blob()
-    assert stable_digest(state) == zlib.crc32(blob)
-    assert state.wire_blob() is blob
-    assert stable_digest(clone(state)) == stable_digest(state)
+    assert print_ == blake2b(blob, digest_size=16).digest()
+    assert fingerprint(state) is print_  # memoised: no second hash
+    assert state.wire_blob() is blob  # hashed the memo, encoded once
+    assert fingerprint(clone(state)) == print_
+    assert fingerprint(big_map(salt=1)) != print_
     small = GCounter((("r0", 3),))
-    assert stable_digest(small) == zlib.crc32(encode_body(small))
+    assert fingerprint(small) == blake2b(encode_body(small), digest_size=16).digest()
+    assert small.wire_blob() is None  # small payloads still get no memo
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +213,7 @@ def test_a_payload_holding_an_unregistered_value_has_no_bytes_at_all():
     tainted = GSet(frozenset(Unregistered(i) for i in range(80)))
     with pytest.raises(SerializationError):
         encode_frame(Merge("m", tainted))
-    for measure in (encode_body, wire_size, stable_digest):
+    for measure in (encode_body, wire_size, fingerprint):
         with pytest.raises(SerializationError):
             measure(tainted)
     assert tainted.wire_blob() is None  # never memoised, never interned
@@ -223,7 +226,9 @@ def test_the_memo_survives_neither_pickle_nor_deepcopy():
     state = big_map()
     encode_body(state)
     assert state.wire_blob() is not None
+    fingerprint(state)
     assert b"_crdt_blob" not in pickle.dumps(state)
+    assert b"_crdt_fingerprint" not in pickle.dumps(state)
     for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
         assert twin == state and twin.wire_blob() is None
 

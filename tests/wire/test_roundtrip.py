@@ -206,11 +206,12 @@ EXEMPLARS = [
     MigrateCommit("m1", 3, "g1"),
     MigrateCommitAck("m1", 3),
     Merge(request_id="r0/u1", state=_GC),
-    Merge(request_id="r0/u2", state=_GC, digest=123456789),
+    Merge(request_id="r0/u2", state=_GC, digest=bytes(range(16))),
     Merged(request_id="r0/u1"),
     Merged(request_id="r0/u2", diverged=True),
     Prepare("q1", 0, _ROUND, None),
     Prepare("q1", 1, _ROUND, _GC),
+    Prepare("q1", 2, _ROUND, bytes(range(16))),  # digest-first
     PrepareAck("q1", 1, _ROUND, _GC),
     PrepareNack("q1", 1, _ROUND, _GC),
     Vote("q1", 1, _ROUND, _GC),
@@ -328,15 +329,26 @@ def test_unknown_version_is_rejected():
 
 
 def test_version_1_frames_are_rejected():
-    # There is no version-1 reader: a frame from a pre-sized-payload
-    # build is refused at the header, by either entry point.
-    assert WIRE_VERSION == 2
-    frame = bytearray(encode_frame(Merged(request_id="m")))
-    frame[len(WIRE_MAGIC)] = 1
-    with pytest.raises(SerializationError, match="unsupported wire version 1"):
-        decode_frame(bytes(frame))
-    with pytest.raises(SerializationError, match="unsupported wire version 1"):
-        FrameDecoder().feed(bytes(frame))
+    # There is no version-1 or version-2 reader: a frame from a
+    # pre-sized-payload or pre-digest-first build is refused at the
+    # header, by either entry point.
+    assert WIRE_VERSION == 3
+    for old in (1, 2):
+        frame = bytearray(encode_frame(Merged(request_id="m")))
+        frame[len(WIRE_MAGIC)] = old
+        with pytest.raises(SerializationError, match=f"unsupported wire version {old}"):
+            decode_frame(bytes(frame))
+        with pytest.raises(SerializationError, match=f"unsupported wire version {old}"):
+            FrameDecoder().feed(bytes(frame))
+
+
+def test_digest_first_acks_round_trip_without_a_state():
+    for message in (
+        PrepareAck("q1", 2, _ROUND, None),
+        PrepareNack("q1", 2, _ROUND, None),
+    ):
+        decoded = decode_body(encode_body(message))
+        assert decoded == message and decoded.state is None
 
 
 def test_foreign_magic_is_rejected():
