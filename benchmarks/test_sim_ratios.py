@@ -33,14 +33,13 @@ MIN_PARTITION_RETENTION = 0.25
 
 def test_two_groups_outrun_one():
     """The comparison must run CPU-bound, or it measures nothing: a
-    closed loop whose per-op latency is dominated by link RTTs (or the
-    keyed coalesce window's 2 ms floor) scales with client count on a
-    single group forever, and sharding shows a speedup of ~1.0
-    regardless of server capacity.  So both sides run with near-zero
-    link latency, the coalesce window off and a deliberately heavy
-    per-message :class:`ServiceModel` — identical spec, seed, latency
-    and service model, so the ratio isolates one group's worth of
-    replica CPU versus two."""
+    closed loop whose per-op latency is dominated by link RTTs scales
+    with client count on a single group forever, and sharding shows a
+    speedup of ~1.0 regardless of server capacity.  So both sides run
+    with near-zero link latency and a deliberately heavy per-message
+    :class:`ServiceModel` — identical spec, seed, latency and service
+    model, so the ratio isolates one group's worth of replica CPU versus
+    two."""
     spec = WorkloadSpec(
         n_clients=32,
         read_ratio=0.5,
@@ -52,7 +51,6 @@ def test_two_groups_outrun_one():
     )
     config = crdt_paxos_config()
     config.keyed_max_resident = 512
-    config.keyed_coalesce_window = 0.0
     common = dict(
         seed=0,
         latency=LogNormalLatency(median=20e-6, sigma=0.25, per_byte=8e-10),

@@ -330,16 +330,17 @@ class Store:
     # Maintenance
     # ------------------------------------------------------------------
     def flush(self) -> dict[str, int]:
-        """Flush every keyed replica: drain coalescing outboxes and, on
-        replicas with a spill store attached, persist the full durable
-        snapshot (:meth:`~repro.core.keyspace.KeyedCrdtReplica.spill_all`).
+        """Flush every keyed replica: on replicas with a spill store
+        attached, persist the full durable snapshot
+        (:meth:`~repro.core.keyspace.KeyedCrdtReplica.spill_all`).
 
         Returns each flushed replica's cumulative spill count (``0`` for
         replicas without a spill tier).  A shutdown hook in miniature:
         call it before tearing a cluster down so a later
         :meth:`~repro.core.keyspace.KeyedCrdtReplica.recover` sees every
         key.  Works on both frontends — the sim and asyncio runtimes
-        expose the same ``apply_effects`` hook for the drained envelopes.
+        expose the same ``apply_effects`` hook for the acks the snapshot
+        releases.
         """
         runtimes = getattr(self._cluster, "runtimes", None)
         if runtimes is None:

@@ -450,13 +450,10 @@ class KeyedExplorationReport:
     group_commit_acks: int = 0
     #: Steps refused (acks suppressed) because a persist failed.
     persist_refusals: int = 0
-    #: Cross-key envelope coalescing totals (keyed_coalesce_window).
-    keyed_batches_packed: int = 0
-    keyed_batches_unpacked: int = 0
-    #: Parked envelopes superseded in place (coalescing-aware re-drives).
-    keyed_envelopes_superseded: int = 0
     #: Digest-first PREPAREs acked as a fingerprint match.
     prepares_matched: int = 0
+    #: Update/query timeouts fired (re-drives), under ``keep_timeouts``.
+    timeouts: int = 0
 
     @property
     def all_complete(self) -> bool:
@@ -562,21 +559,20 @@ class KeyedInterleavingExplorer:
         # ``keep_timeouts`` preserves the supplied request_timeout: the
         # uto/qto supervision timers then pool with the other collected
         # timers and the adversary fires re-drives in arbitrary order
-        # relative to deliveries and coalesce flushes — the schedule the
-        # coalescing-aware re-drive fix is exercised under.
+        # relative to deliveries, restarts and eviction churn.
         self.config = replace(
             base,
             request_timeout=base.request_timeout if keep_timeouts else None,
             keyed_idle_evict_s=None,
             inclusion_tagger=lambda state, replica: (replica, state.slot(replica)),
         )
-        # Coalescing parks peer traffic behind a flush timer, so with it
-        # on the adversary must control (and eventually fire) that timer
-        # too or the run would deadlock instead of quiescing.
+        # Timer-driven mechanisms (batch flushes, retry backoff, the
+        # durable sync tick, re-drives) hand their timers to the
+        # adversary, which must eventually fire them or the run would
+        # deadlock instead of quiescing.
         self._collect_timers = (
             base.batching
             or base.retry_backoff > 0
-            or base.keyed_coalesce_window is not None
             or base.durability != "none"
             or keep_timeouts
         )
@@ -589,12 +585,8 @@ class KeyedInterleavingExplorer:
         report.rehydrations += node.rehydrations
         report.spills += node.spills
         report.spill_loads += node.spill_loads
-        report.keyed_batches_packed += node.acceptor_stats.keyed_batches_packed
-        report.keyed_batches_unpacked += node.acceptor_stats.keyed_batches_unpacked
-        report.keyed_envelopes_superseded += (
-            node.acceptor_stats.keyed_envelopes_superseded
-        )
         report.prepares_matched += node.acceptor_stats.prepares_matched
+        report.timeouts += node.stats.timeouts
         report.rejoin_refreshes += node.rejoin_refreshes
         report.write_through_persists += node.write_through_persists
         report.group_commits += node.group_commits
@@ -611,10 +603,10 @@ class KeyedInterleavingExplorer:
 
         The dying node first persists its durable snapshot
         (:meth:`~repro.core.keyspace.KeyedCrdtReplica.spill_all` — the
-        shutdown hook; its final outbox flush is delivered, modelling
-        acks that made it out before the process died).  Everything else
-        — resident instances, open proposer bookkeeping, armed timers —
-        dies with the process.  The fresh node starts with *zero* keys
+        shutdown hook; the group-commit acks it releases are delivered,
+        modelling acks that made it out before the process died).
+        Everything else — resident instances, open proposer bookkeeping,
+        armed timers — dies with the process.  The fresh node starts with *zero* keys
         in RAM and rehydrates each from the store on first touch, while
         messages that were in flight across the restart arrive at the
         new generation.

@@ -286,7 +286,6 @@ class ShardedMigrationExplorer:
         self._collect_timers = (
             base.batching
             or base.retry_backoff > 0
-            or base.keyed_coalesce_window is not None
             or base.durability != "none"
         )
         self.birth_table = RoutingTable(self.group_names, vnodes=vnodes)

@@ -40,12 +40,6 @@ class AcceptorStats:
         "prepares_matched",
         "votes_granted",
         "votes_denied",
-        "keyed_batches_packed",
-        "keyed_batch_messages",
-        "keyed_batches_unpacked",
-        "keyed_batch_bytes_saved",
-        "keyed_envelopes_superseded",
-        "keyed_budget_flushes",
     )
 
     def __init__(self) -> None:
@@ -57,21 +51,6 @@ class AcceptorStats:
         self.prepares_matched = 0
         self.votes_granted = 0
         self.votes_denied = 0
-        #: Keyed-envelope coalescing (``keyed_coalesce_window``): framed
-        #: KeyedBatch envelopes sent, per-key messages they carried,
-        #: batches unpacked on arrival, and the per-envelope overhead
-        #: bytes the packing saved on the wire.  Kept here because this
-        #: object is already the keyed replica's one shared per-node sink.
-        self.keyed_batches_packed = 0
-        self.keyed_batch_messages = 0
-        self.keyed_batches_unpacked = 0
-        self.keyed_batch_bytes_saved = 0
-        #: Parked envelopes replaced in place by a fresh one for the same
-        #: (key, type, request id, attempt) slot — e.g. a re-driven MERGE
-        #: superseding the still-parked original.
-        self.keyed_envelopes_superseded = 0
-        #: Early per-peer flushes forced by ``keyed_outbox_byte_budget``.
-        self.keyed_budget_flushes = 0
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -132,29 +132,6 @@ class CrdtPaxosConfig:
         acceptor's entire durable state (§3.3).  Requires a spill store
         to be attached; ``None`` (default) keeps every frozen record in
         RAM.
-    ``keyed_coalesce_window``
-        Keyed deployments only: buffer peer-bound :class:`Keyed` envelopes
-        for up to this many seconds and flush them as one framed
-        :class:`~repro.core.keyspace.KeyedBatch` per destination — at high
-        key counts one replica emits many small per-key messages to the
-        same peer per tick, and batching them amortizes the per-envelope
-        overhead.  Replies to clients are never delayed.  ``None``
-        (default) sends every envelope immediately.
-    ``keyed_coalesce_adaptive`` / ``keyed_coalesce_min_window``
-        Adapt the coalesce window to the observed per-peer traffic rate:
-        an EWMA of the enqueue interval per destination sizes the next
-        window at roughly eight envelopes' worth of arrivals, clamped to
-        ``[keyed_coalesce_min_window, keyed_coalesce_window]`` — a hot
-        peer flushes near the floor (latency), a trickling peer waits the
-        full window (batching).  ``keyed_coalesce_min_window=None``
-        defaults the floor to an eighth of the window.  Requires
-        ``keyed_coalesce_window``.
-    ``keyed_outbox_byte_budget``
-        Flush a destination's parked envelopes early once their summed
-        wire size exceeds this many bytes, regardless of the window —
-        bounds both the burst one KeyedBatch frame puts on the wire and
-        the staleness a byte-heavy peer accumulates.  ``None`` (default)
-        leaves flushing purely time-driven.
     ``durability``
         Keyed deployments only: when a spill store is attached, how the
         §3.3 ``(payload, round)`` pair is persisted relative to the acks
@@ -193,10 +170,6 @@ class CrdtPaxosConfig:
     keyed_max_resident: int | None = None
     keyed_max_frozen: int | None = None
     keyed_idle_evict_s: float | None = None
-    keyed_coalesce_window: float | None = None
-    keyed_coalesce_adaptive: bool = False
-    keyed_coalesce_min_window: float | None = None
-    keyed_outbox_byte_budget: int | None = None
     durability: str = "none"
 
     def __post_init__(self) -> None:
@@ -240,10 +213,6 @@ class CrdtPaxosConfig:
             )
         if self.keyed_idle_evict_s is not None and self.keyed_idle_evict_s <= 0:
             raise ConfigurationError("keyed_idle_evict_s must be positive or None")
-        if self.keyed_coalesce_window is not None and self.keyed_coalesce_window <= 0:
-            raise ConfigurationError(
-                "keyed_coalesce_window must be positive or None"
-            )
         if self.anti_entropy and not self.delta_merge:
             raise ConfigurationError(
                 "anti_entropy requires delta_merge (full-state MERGEs are "
@@ -255,28 +224,6 @@ class CrdtPaxosConfig:
             )
         if self.anti_entropy_interval <= 0:
             raise ConfigurationError("anti_entropy_interval must be positive")
-        if self.keyed_coalesce_adaptive and self.keyed_coalesce_window is None:
-            raise ConfigurationError(
-                "keyed_coalesce_adaptive requires keyed_coalesce_window (the "
-                "adaptive window's ceiling)"
-            )
-        if self.keyed_coalesce_min_window is not None:
-            if self.keyed_coalesce_min_window <= 0:
-                raise ConfigurationError(
-                    "keyed_coalesce_min_window must be positive or None"
-                )
-            if (
-                self.keyed_coalesce_window is not None
-                and self.keyed_coalesce_min_window > self.keyed_coalesce_window
-            ):
-                raise ConfigurationError(
-                    "keyed_coalesce_min_window must not exceed keyed_coalesce_window"
-                )
-        if self.keyed_outbox_byte_budget is not None and self.keyed_outbox_byte_budget < 1:
-            raise ConfigurationError(
-                f"keyed_outbox_byte_budget must be >= 1 or None, got "
-                f"{self.keyed_outbox_byte_budget}"
-            )
         if self.durability not in ("none", "write_through"):
             raise ConfigurationError(
                 "durability must be 'none' or 'write_through', "

@@ -65,27 +65,16 @@ themselves be open batches and block eviction.  The only state that
 must *outlive* keys is the trio of node-wide monotone counters (batch
 ids, learn sequence, round ids); ``spill_all`` persists their snapshot
 as store metadata so a recovered node can never reuse an identifier a
-stale in-flight message might still answer.  Keys with envelopes parked
-in the coalescing outbox are pinned resident until the flush — demotion
-must never separate a key's record from its undelivered traffic.
+stale in-flight message might still answer.
 
 Timer routing stays O(1) in the number of keys (a namespace→key index,
 maintained on proposer materialization, replaces any scan).
 
-Two refinements ride on the frozen-record design:
-
-* **Cross-key envelope coalescing** — with
-  ``config.keyed_coalesce_window`` set, peer-bound ``Keyed`` envelopes
-  park in a per-destination outbox and leave as one framed
-  :class:`KeyedBatch` per peer per flush, amortizing per-envelope
-  overhead at high key counts.  Replies to clients are never delayed.
-  The savings are counted in the shared
-  :class:`~repro.core.acceptor.AcceptorStats` sink.
-* **GLA-Stability across eviction** — the §3.4 learned maximum is
-  persisted in the frozen record next to the acceptor pair and seeds
-  the rehydrated proposer, so states learned at this node for one key
-  stay monotone in learn order across freeze/thaw generations (learn
-  sequence numbers already come from a node-wide counter).
+**GLA-Stability across eviction.**  The §3.4 learned maximum is
+persisted in the frozen record next to the acceptor pair and seeds the
+rehydrated proposer, so states learned at this node for one key stay
+monotone in learn order across freeze/thaw generations (learn sequence
+numbers already come from a node-wide counter).
 
 **Surviving kill -9.**  ``config.durability`` turns the spill store into
 the acceptor's fsync target.  Under ``write_through`` a key's triple is
@@ -135,7 +124,6 @@ from repro.core.rounds import Round
 from repro.core.router import dispatch_peer_message
 from repro.crdt.base import StateCRDT
 from repro.errors import ConfigurationError, StaleRecoveryError, StorageUnavailable
-from repro.net.message import ENVELOPE_OVERHEAD_BYTES, wire_size
 from repro.net.node import Effects, ProtocolNode
 from repro.quorum.system import MajorityQuorum, QuorumSystem
 from repro.storage.base import SpillRecord, SpillStore
@@ -144,17 +132,6 @@ from repro.storage.base import SpillRecord, SpillStore
 #: per-key timers, which are always namespaced ``<repr(key)>|<timer>``
 #: (a repr never equals this bare token).
 _SWEEP_TIMER = "keyspace-sweep"
-
-#: Reserved timer key for the cross-key envelope-coalescing flush.
-_COALESCE_TIMER = "keyspace-coalesce"
-
-#: Adaptive coalescing aims for about this many parked envelopes per
-#: flush window: small enough to keep added latency near one batch's
-#: worth of arrivals, large enough to amortize the per-envelope overhead.
-_COALESCE_TARGET_BATCH = 8
-
-#: EWMA smoothing for the per-peer enqueue-interval estimate.
-_COALESCE_EWMA_ALPHA = 0.2
 
 #: Reserved timer key for the group-commit flush (the durable sync tick).
 _SYNC_TIMER = "keyspace-sync"
@@ -218,21 +195,6 @@ class Keyed:
         """Delegate correlation ids so request/reply clients (e.g. the
         asyncio client) can match keyed replies transparently."""
         return getattr(self.message, "request_id", None)
-
-
-@dataclass(frozen=True, slots=True)
-class KeyedBatch:
-    """One framed envelope carrying many per-key messages to one peer.
-
-    At high key counts a replica emits many small :class:`Keyed` messages
-    to the same destination per flush; packing them into one envelope
-    amortizes the per-message framing overhead
-    (``config.keyed_coalesce_window``).  The receiving replica unpacks
-    and routes each item through the ordinary keyed dispatch, so the
-    batch is pure transport framing — it carries no protocol meaning.
-    """
-
-    items: tuple[Keyed, ...]
 
 
 class _FrozenKey:
@@ -515,37 +477,7 @@ class KeyedCrdtReplica(ProtocolNode):
         self._acceptor_stats = AcceptorStats()
         self._resident: dict[Hashable, _KeyInstance] = {}
         self._frozen: dict[Hashable, _FrozenKey] = {}
-        #: Cross-key envelope coalescing: peer-bound Keyed envelopes wait
-        #: here until the coalesce flush packs one KeyedBatch per peer.
-        #: Per destination, an insertion-ordered map whose slot key is
-        #: ``(key, message type, request id, attempt)`` — parking a fresh
-        #: envelope for an already-parked slot *supersedes* the old one in
-        #: place (same position, newer payload) instead of queueing a
-        #: duplicate; this is what makes update-timeout re-drives
-        #: coalescing-aware (the re-driven MERGE replaces the parked one).
         self._remote_peers = frozenset(peers) - {node_id}
-        #: Each parked entry is ``(envelope, wire size)``; the size is
-        #: measured only when a byte ledger is kept (0 otherwise).
-        self._outbox: dict[str, dict[tuple, tuple[Keyed, int]]] = {}
-        #: How many outbox envelopes reference each key; a parked key is
-        #: pinned resident (demotion must not separate a key's record
-        #: from its undelivered traffic).
-        self._parked_count: dict[Hashable, int] = {}
-        self._coalesce_armed = False
-        #: Adaptive coalescing (``keyed_coalesce_adaptive``): per-peer
-        #: EWMA of the interval between parked envelopes and the last
-        #: park instant feeding it; the flush window tracks the observed
-        #: traffic rate instead of a fixed figure.
-        self._coalesce_ewma: dict[str, float] = {}
-        self._coalesce_last: dict[str, float] = {}
-        #: Parked wire bytes per destination (``keyed_outbox_byte_budget``
-        #: or adaptive mode): crossing the budget flushes that peer early.
-        self._parked_bytes: dict[str, int] = {}
-        #: The current handling step's timestamp — captured at the
-        #: :meth:`on_message`/:meth:`on_timer` entry points so inner
-        #: plumbing (:meth:`_wrap`) can sample time without threading
-        #: ``now`` through every call chain.
-        self._now = 0.0
         #: Timer-namespace index: ``repr(key)`` → key.  Keeps
         #: :meth:`on_timer` O(1) in the number of keys.  Registered only
         #: when a key materializes a proposer — acceptor-only keys never
@@ -709,8 +641,7 @@ class KeyedCrdtReplica(ProtocolNode):
 
     @property
     def acceptor_stats(self) -> AcceptorStats:
-        """Aggregate acceptor counters across every key — including the
-        KeyedBatch coalescing savings (packed/unpacked/bytes saved)."""
+        """Aggregate acceptor counters across every key."""
         return self._acceptor_stats
 
     def instance(self, key: Hashable, now: float | None = None) -> _KeyInstance:
@@ -853,17 +784,9 @@ class KeyedCrdtReplica(ProtocolNode):
     # Eviction
     # ------------------------------------------------------------------
     def _freeze(self, key: Hashable, inst: _KeyInstance) -> bool:
-        """Demote one quiescent key to its frozen record; False if busy.
-
-        A key with envelopes parked in the coalescing outbox counts as
-        busy: demoting (and potentially spilling) it while its traffic
-        is undelivered could strand those envelopes across a shutdown —
-        the key stays pinned until the coalesce flush drains them.
-        """
+        """Demote one quiescent key to its frozen record; False if busy."""
         proposer = inst.proposer
         if proposer is not None and not proposer.idle:
-            return False
-        if self._parked_count.get(key):
             return False
         # Persist the §3.4 learned maximum alongside the acceptor pair —
         # either the live proposer's or one thawed earlier that never got
@@ -949,38 +872,38 @@ class KeyedCrdtReplica(ProtocolNode):
     def spill_all(self) -> Effects:
         """Persist a complete durable snapshot (shutdown/kill hook).
 
-        Flushes the coalescing outbox first (parked envelopes must not
-        be stranded by a shutdown), then writes *every* key's
-        ``(payload, round, learned-max)`` triple to the spill store:
-        frozen records are spilled and dropped from RAM, quiescent
-        resident keys are frozen, spilled and dropped, and busy resident
-        keys (open batches pin them) are snapshotted but stay resident —
-        their open client requests die with the process, exactly like a
-        crash, but their acceptor state is durable.  Finally the shared
-        monotone counters are persisted as store metadata and the store
-        is flushed.
+        Writes *every* key's ``(payload, round, learned-max)`` triple to
+        the spill store: frozen records are spilled and dropped from RAM,
+        quiescent resident keys are frozen, spilled and dropped, and busy
+        resident keys (open batches pin them) are snapshotted but stay
+        resident — their open client requests die with the process,
+        exactly like a crash, but their acceptor state is durable.  A
+        triple a durable persist already put is not put again.  Finally
+        the shared monotone counters are persisted as store metadata and
+        the store is flushed.
 
-        Returns the outbox-flush effects; a driver shutting the node
-        down should still deliver them (they are acks and replies that
-        "made it out" before the process died).
+        Returns the group-commit acks this releases; a driver shutting
+        the node down should still deliver them (they are acks and
+        replies that "made it out" before the process died).
         """
         store = self._spill_store
         if store is None:
             raise ConfigurationError(
                 "spill_all requires a spill_store attached to this replica"
             )
-        effects = self._flush_outbox()
-        # Release group-commit-parked acks too: the store is flushed
-        # below, *before* the driver executes these effects, so every
-        # released ack still rests on durable state.
+        effects = Effects()
+        # Release group-commit-parked acks: the store is flushed below,
+        # *before* the driver executes these effects, so every released
+        # ack still rests on durable state.
         for dst, keyed in self._sync_parked:
             effects.send(dst, keyed)
         self._sync_parked = []
         self._sync_dirty = False
         for key, frozen in list(self._frozen.items()):
-            store.put(
-                key, SpillRecord(frozen.state, frozen.round, frozen.learned_max)
-            )
+            if not frozen.stored:
+                store.put(
+                    key, SpillRecord(frozen.state, frozen.round, frozen.learned_max)
+                )
             del self._frozen[key]
             self.spills += 1
         for key, inst in list(self._resident.items()):
@@ -988,10 +911,11 @@ class KeyedCrdtReplica(ProtocolNode):
             learned_max = (
                 proposer.learned_max if proposer is not None else inst.learned_max
             )
-            store.put(
-                key,
-                SpillRecord(inst.acceptor.state, inst.acceptor.round, learned_max),
-            )
+            acceptor = inst.acceptor
+            if not _stamp_covers(self._durable_stamps.get(key), acceptor, learned_max):
+                store.put(
+                    key, SpillRecord(acceptor.state, acceptor.round, learned_max)
+                )
             self.spills += 1
             if self._freeze(key, inst):
                 # Quiescent: _freeze moved it to the frozen dict (and
@@ -1005,14 +929,13 @@ class KeyedCrdtReplica(ProtocolNode):
     def flush(self) -> Effects:
         """Operator-side maintenance flush (the api ``Store.flush()``).
 
-        Drains the coalescing outbox and, when a spill store is
-        attached, persists the full durable snapshot via
-        :meth:`spill_all`.  Returns the effects the driver must still
-        execute (the drained outbox envelopes).
+        With a spill store attached, persists the full durable snapshot
+        via :meth:`spill_all` and returns the acks it releases; without
+        one there is nothing to flush.
         """
         if self._spill_store is not None:
             return self.spill_all()
-        return self._flush_outbox()
+        return Effects()
 
     def _sweep(self, now: float) -> Effects:
         """Idle eviction, O(evicted) per sweep instead of O(resident).
@@ -1067,12 +990,8 @@ class KeyedCrdtReplica(ProtocolNode):
         effects = Effects()
         if self.config.keyed_idle_evict_s is not None:
             effects.set_timer(_SWEEP_TIMER, self.config.keyed_idle_evict_s)
-        # Crash recovery loses timers but not internal state: envelopes
-        # parked in the outbox must get a fresh flush tick.
-        self._coalesce_armed = False
-        if self._outbox:
-            self._coalesce_armed = True
-            effects.set_timer(_COALESCE_TIMER, self.config.keyed_coalesce_window or 0.001)
+        # Crash recovery loses timers but not internal state: acks parked
+        # for group commit must get a fresh sync tick.
         self._sync_armed = False
         if self._sync_dirty or self._sync_parked:
             self._sync_armed = True
@@ -1080,15 +999,6 @@ class KeyedCrdtReplica(ProtocolNode):
         return effects
 
     def on_message(self, src: str, message: Any, now: float) -> Effects:
-        self._now = now
-        if isinstance(message, KeyedBatch):
-            # Transport framing only: route every item through the
-            # ordinary keyed dispatch, folding the effects in order.
-            self._acceptor_stats.keyed_batches_unpacked += 1
-            effects = Effects()
-            for item in message.items:
-                effects.merge(self.on_message(src, item, now))
-            return effects
         if not isinstance(message, Keyed):
             return Effects()  # unkeyed traffic is not ours
         key = message.key
@@ -1433,11 +1343,8 @@ class KeyedCrdtReplica(ProtocolNode):
         return True
 
     def on_timer(self, key: str, now: float) -> Effects:
-        self._now = now
         if key == _SWEEP_TIMER:
             return self._sweep(now)
-        if key == _COALESCE_TIMER:
-            return self._flush_outbox()
         if key == _SYNC_TIMER:
             return self._sync_commit()
         # Timer keys are namespaced "<repr(key)>|<proposer key>"; the
@@ -1485,22 +1392,8 @@ class KeyedCrdtReplica(ProtocolNode):
         inner message once per destination; the sends share one ``Keyed``
         wrapper, so a transport that encodes per message object encodes a
         broadcast once.
-
-        With ``keyed_coalesce_window`` set, peer-bound envelopes detour
-        through the outbox and leave as one :class:`KeyedBatch` per peer
-        at the next coalesce flush; client-bound replies always go out
-        immediately (a reply delayed is a request slowed).  Parking is
-        *superseding*: a fresh envelope whose (key, message type,
-        request id, attempt) slot is already parked for the destination
-        replaces the old envelope in place — same flush position, newer
-        payload.  This is what makes update-timeout re-drives
-        coalescing-aware: a re-driven MERGE for a batch whose original
-        MERGE still sits parked replaces it instead of queueing a
-        duplicate behind it (the re-drive payload subsumes the parked
-        one, so nothing is lost and nothing arrives out of date).
         """
         wrapped = Effects()
-        coalesce = self.config.keyed_coalesce_window
         shared: dict[int, Keyed] = {}
         for dst, message in effects.sends:
             keyed = shared.get(id(message))
@@ -1514,46 +1407,6 @@ class KeyedCrdtReplica(ProtocolNode):
                 # is store-wide, not per key).  Requests and nacks flow:
                 # no learn certificate can rest on them.
                 self._sync_parked.append((dst, keyed))
-                continue
-            if coalesce is not None and dst in self._remote_peers:
-                bucket = self._outbox.setdefault(dst, {})
-                slot = (
-                    key,
-                    type(message).__name__,
-                    getattr(message, "request_id", None),
-                    getattr(message, "attempt", None),
-                )
-                old = bucket.get(slot)
-                if old is not None:
-                    self._acceptor_stats.keyed_envelopes_superseded += 1
-                else:
-                    self._parked_count[key] = self._parked_count.get(key, 0) + 1
-                budget = self.config.keyed_outbox_byte_budget
-                adaptive = self.config.keyed_coalesce_adaptive
-                size = 0
-                if budget is not None or adaptive:
-                    size = wire_size(keyed)
-                    parked = self._parked_bytes.get(dst, 0) + size
-                    if old is not None:
-                        parked -= old[1]
-                    self._parked_bytes[dst] = parked
-                bucket[slot] = (keyed, size)
-                if adaptive:
-                    last = self._coalesce_last.get(dst)
-                    self._coalesce_last[dst] = self._now
-                    if last is not None:
-                        interval = max(self._now - last, 1e-9)
-                        prev = self._coalesce_ewma.get(dst)
-                        self._coalesce_ewma[dst] = (
-                            interval
-                            if prev is None
-                            else prev + _COALESCE_EWMA_ALPHA * (interval - prev)
-                        )
-                if budget is not None and self._parked_bytes.get(dst, 0) >= budget:
-                    self._flush_peer(dst, wrapped)
-                elif not self._coalesce_armed:
-                    self._coalesce_armed = True
-                    wrapped.set_timer(_COALESCE_TIMER, self._coalesce_delay(dst))
             else:
                 wrapped.send(dst, keyed)
         for timer_key, delay in effects.timers:
@@ -1564,82 +1417,6 @@ class KeyedCrdtReplica(ProtocolNode):
             self._sync_armed = True
             wrapped.set_timer(_SYNC_TIMER, 0.0)
         return wrapped
-
-    def _coalesce_delay(self, dst: str) -> float:
-        """The next flush window, sized to the arming peer's traffic.
-
-        Fixed mode returns ``keyed_coalesce_window`` unchanged.  Adaptive
-        mode targets roughly :data:`_COALESCE_TARGET_BATCH` arrivals per
-        window from the EWMA enqueue interval, clamped between the floor
-        (``keyed_coalesce_min_window``, default window/8) and the window:
-        a hot peer flushes near the floor, a trickle waits the full
-        window.
-        """
-        # Only reachable from the parking branch, so the window is set;
-        # 0.0 (flush on the next tick, i.e. batching off) must survive —
-        # coercing it to a real window silently changes every deployment
-        # that disables coalescing this way.
-        window = self.config.keyed_coalesce_window
-        if not self.config.keyed_coalesce_adaptive:
-            return window
-        ewma = self._coalesce_ewma.get(dst)
-        if ewma is None:
-            return window
-        floor = self.config.keyed_coalesce_min_window or window / 8.0
-        return min(max(ewma * _COALESCE_TARGET_BATCH, floor), window)
-
-    def _flush_peer(self, dst: str, effects: Effects) -> None:
-        """Byte-budget early flush: ship one peer's parked envelopes now.
-
-        The coalesce timer (if armed) keeps running for the other peers;
-        re-arming is unnecessary because this peer's bucket is empty
-        until its next park.
-        """
-        bucket = self._outbox.pop(dst, None)
-        self._parked_bytes.pop(dst, None)
-        if not bucket:
-            return
-        for slot in bucket:
-            slot_key = slot[0]
-            count = self._parked_count.get(slot_key)
-            if count is not None:
-                if count <= 1:
-                    del self._parked_count[slot_key]
-                else:
-                    self._parked_count[slot_key] = count - 1
-        stats = self._acceptor_stats
-        stats.keyed_budget_flushes += 1
-        items = [keyed for keyed, _ in bucket.values()]
-        if len(items) == 1:
-            effects.send(dst, items[0])
-            return
-        effects.send(dst, KeyedBatch(items=tuple(items)))
-        stats.keyed_batches_packed += 1
-        stats.keyed_batch_messages += len(items)
-        stats.keyed_batch_bytes_saved += (len(items) - 1) * ENVELOPE_OVERHEAD_BYTES
-
-    def _flush_outbox(self) -> Effects:
-        """Coalesce flush: one framed envelope per peer with traffic."""
-        effects = Effects()
-        self._coalesce_armed = False
-        if not self._outbox:
-            return effects
-        outbox, self._outbox = self._outbox, {}
-        self._parked_count.clear()
-        self._parked_bytes.clear()
-        stats = self._acceptor_stats
-        for dst, bucket in outbox.items():
-            items = [keyed for keyed, _ in bucket.values()]
-            if len(items) == 1:  # nothing to amortize; skip the framing
-                effects.send(dst, items[0])
-                continue
-            effects.send(dst, KeyedBatch(items=tuple(items)))
-            stats.keyed_batches_packed += 1
-            stats.keyed_batch_messages += len(items)
-            stats.keyed_batch_bytes_saved += (
-                len(items) - 1
-            ) * ENVELOPE_OVERHEAD_BYTES
-        return effects
 
     # ------------------------------------------------------------------
     # Durability: put in-step, park the acks, flush on the sync tick

@@ -507,23 +507,8 @@ class Proposer:
             # Keep earlier in-flight batches' re-drive payloads fresh:
             # their next re-send carries this batch's updates too.
             for open_batch in self._update_batches.values():
-                if open_batch.redrive is None:
-                    continue
-                open_batch.redrive.add(payload)
-                if open_batch.redrive_rounds > 0:
-                    # That batch's latest re-driven MERGE may still be
-                    # parked in a coalesce outbox, materialized with the
-                    # pre-fold accumulator value.  Re-send so the parked
-                    # slot is superseded with a payload that carries this
-                    # batch's updates too — otherwise the flush ships the
-                    # stale fragment and the fold above never reaches
-                    # peers until the *next* timeout.
-                    refreshed = self._merge_message(
-                        open_batch.batch_id, open_batch.redrive.value
-                    )
-                    for peer in self._remotes:
-                        if peer not in open_batch.acked:
-                            effects.send(peer, refreshed)
+                if open_batch.redrive is not None:
+                    open_batch.redrive.add(payload)
             redrive = MergeAccumulator(payload)
         else:
             payload = self._acceptor.state

@@ -71,9 +71,9 @@ class SimNodeRuntime:
         """Execute effects produced outside the message/timer path.
 
         Maintenance hooks (e.g. :meth:`KeyedCrdtReplica.spill_all`, which
-        returns a final outbox flush) are invoked directly on the node by
-        operator-side code; their effects still need this runtime to
-        reach the network and the timer wheel.
+        returns the group-commit acks it releases) are invoked directly on
+        the node by operator-side code; their effects still need this
+        runtime to reach the network and the timer wheel.
         """
         self._apply(effects)
 

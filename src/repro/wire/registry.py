@@ -4,7 +4,8 @@ Importing this module assigns each class a small integer tag in the
 order listed below.  **The order is part of the wire format**: a peer
 decodes tags positionally, so new classes are appended at the end and
 existing entries are never removed or reordered without bumping
-:data:`repro.wire.framing.WIRE_VERSION`.
+:data:`repro.wire.framing.WIRE_VERSION` — a class that is deleted keeps
+its slot as a retired tag.
 
 Three kinds of classes are registered, and every one is rebuilt by
 calling its constructor with the decoded fields in order (the decode
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.wire.values import register
+from repro.wire.values import register, retire
 
 from repro.core import messages as core_messages
 from repro.core import keyspace as core_keyspace
@@ -159,9 +160,12 @@ for _cls in (
     core_messages.Voted,
     core_messages.VoteNack,
     core_keyspace.Keyed,
-    core_keyspace.KeyedBatch,
 ):
     _register_dataclass(_cls)
+# The tag after Keyed belonged to KeyedBatch, the cross-key envelope
+# framing the keyspace no longer sends; it stays reserved so the classes
+# below keep their tags under the same WIRE_VERSION.
+retire("KeyedBatch")
 
 # ---------------------------------------------------------------------
 # Baseline RSM messages (Raft, Multi-Paxos, GLA) — the bench compares

@@ -108,7 +108,8 @@ _SPECS_BY_CLASS: dict[type, ClassSpec] = {}
 #: wire tag → spec.
 _SPECS_BY_TAG: dict[int, ClassSpec] = {}
 #: wire tag → decode plan (``(buf, pos) -> (instance, next_pos)`` with
-#: ``pos`` just past the class tag), compiled by :func:`register`.
+#: ``pos`` just past the class tag), compiled by :func:`register`; a
+#: retired tag's plan refuses the frame.
 _PLANS: list[Callable[[Any, int], tuple[Any, int]]] = []
 
 
@@ -122,10 +123,22 @@ def register(
     :mod:`repro.wire.framing`)."""
     if cls in _SPECS_BY_CLASS:
         raise SerializationError(f"{cls.__name__} already wire-registered")
-    spec = ClassSpec(len(_SPECS_BY_TAG), cls, fields, build)
+    spec = ClassSpec(len(_PLANS), cls, fields, build)
     _SPECS_BY_CLASS[cls] = spec
     _SPECS_BY_TAG[spec.tag] = spec
     _PLANS.append(_compile_plan(spec))
+
+
+def retire(name: str) -> None:
+    """Hold the next wire tag for a class that no longer exists, so every
+    class registered after it keeps its tag; a frame carrying the retired
+    tag decodes as :class:`SerializationError`."""
+    tag = len(_PLANS)
+
+    def refuse(buf, pos):
+        raise SerializationError(f"retired wire class tag {tag} ({name})")
+
+    _PLANS.append(refuse)
 
 
 def registered_classes() -> tuple[type, ...]:

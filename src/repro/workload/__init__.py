@@ -10,15 +10,12 @@ typed CRDT ops from a per-type :class:`~repro.workload.profiles.OpProfile`,
 compiled per protocol by :class:`~repro.workload.adapters.OpAdapter`, and
 optionally addressed per key (Zipf popularity via
 :class:`~repro.workload.sampler.ZipfKeySampler`) against the keyed
-deployment.  The counter-only adapters remain as deprecation shims.
+deployment.
 """
 
 from repro.workload.adapters import (
-    CounterAdapter,
-    CrdtPaxosAdapter,
     CrdtPaxosOpAdapter,
     OpAdapter,
-    RsmAdapter,
     RsmOpAdapter,
 )
 from repro.workload.clients import ClosedLoopClient, HistoryTap, OpRecord, Recorder
@@ -39,8 +36,6 @@ from repro.workload.spec import WorkloadSpec
 
 __all__ = [
     "ClosedLoopClient",
-    "CounterAdapter",
-    "CrdtPaxosAdapter",
     "CrdtPaxosOpAdapter",
     "GroupRouter",
     "HistoryTap",
@@ -49,7 +44,6 @@ __all__ = [
     "OpRecord",
     "PROTOCOLS",
     "Recorder",
-    "RsmAdapter",
     "RsmOpAdapter",
     "RunResult",
     "ShardedRunResult",

@@ -10,17 +10,11 @@ benchmarks measure exactly what the public API emits, keyed or not.
 The log-based RSM baselines (Multi-Paxos, Raft, GLA) only replicate an
 integer counter, so their adapter accepts the counter profile's ops and
 translates them to the shared RSM command tuples.
-
-The pre-PR-3 counter-only hierarchy (``CounterAdapter`` /
-``CrdtPaxosAdapter`` / ``RsmAdapter`` with ``update_message(request_id,
-amount)``) survives as deprecation shims at the bottom of this module.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Hashable
 
 from repro.api.codec import (
@@ -119,94 +113,3 @@ class RsmOpAdapter(OpAdapter):
                 learned_via=message.via,
             )
         return None
-
-
-# ----------------------------------------------------------------------
-# Deprecated counter-only hierarchy (pre-PR-3 entry points)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ParsedReply:
-    """Normalized completion of the deprecated counter adapters."""
-
-    request_id: str
-    kind: str  # "update" | "read"
-    result: Any = None
-    round_trips: int = 0
-    via: str = ""
-
-
-def _deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} (repro.workload.adapters)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class CounterAdapter(ABC):
-    """Deprecated: the counter-only adapter contract.
-
-    Superseded by :class:`OpAdapter`, which carries typed CRDT operations
-    (any profile, optionally keyed) instead of a hard-coded increment.
-    """
-
-    @abstractmethod
-    def update_message(self, request_id: str, amount: int) -> Any: ...
-
-    @abstractmethod
-    def query_message(self, request_id: str) -> Any: ...
-
-    @abstractmethod
-    def parse_reply(self, message: Any) -> ParsedReply | None: ...
-
-
-class CrdtPaxosAdapter(CounterAdapter):
-    """Deprecated shim over :class:`CrdtPaxosOpAdapter` (counter ops)."""
-
-    def __init__(self) -> None:
-        _deprecated("CrdtPaxosAdapter", "CrdtPaxosOpAdapter")
-        self._inner = CrdtPaxosOpAdapter()
-
-    def update_message(self, request_id: str, amount: int) -> Any:
-        return self._inner.update_message(request_id, Increment(amount))
-
-    def query_message(self, request_id: str) -> Any:
-        return self._inner.query_message(request_id, GCounterValue())
-
-    def parse_reply(self, message: Any) -> ParsedReply | None:
-        completion = self._inner.parse_reply(message)
-        if completion is None:
-            return None
-        return ParsedReply(
-            request_id=completion.request_id,
-            kind=completion.kind,
-            result=completion.result,
-            round_trips=completion.round_trips,
-            via=completion.learned_via,
-        )
-
-
-class RsmAdapter(CounterAdapter):
-    """Deprecated shim over :class:`RsmOpAdapter` (counter ops)."""
-
-    def __init__(self) -> None:
-        _deprecated("RsmAdapter", "RsmOpAdapter")
-        self._inner = RsmOpAdapter()
-
-    def update_message(self, request_id: str, amount: int) -> Any:
-        return self._inner.update_message(request_id, Increment(amount))
-
-    def query_message(self, request_id: str) -> Any:
-        return self._inner.query_message(request_id, GCounterValue())
-
-    def parse_reply(self, message: Any) -> ParsedReply | None:
-        completion = self._inner.parse_reply(message)
-        if completion is None:
-            return None
-        return ParsedReply(
-            request_id=completion.request_id,
-            kind=completion.kind,
-            result=completion.result,
-            round_trips=completion.round_trips,
-            via=completion.learned_via,
-        )

@@ -378,13 +378,6 @@ def run_workload(
                 "rehydrations": node.rehydrations,
                 "spills": node.spills,
                 "spill_loads": node.spill_loads,
-                "keyed_batches_packed": node.acceptor_stats.keyed_batches_packed,
-                "keyed_batches_unpacked": node.acceptor_stats.keyed_batches_unpacked,
-                "keyed_batch_messages": node.acceptor_stats.keyed_batch_messages,
-                "keyed_batch_bytes_saved": node.acceptor_stats.keyed_batch_bytes_saved,
-                "keyed_envelopes_superseded": (
-                    node.acceptor_stats.keyed_envelopes_superseded
-                ),
                 "write_through_persists": node.write_through_persists,
                 "group_commits": node.group_commits,
                 "group_commit_acks": node.group_commit_acks,

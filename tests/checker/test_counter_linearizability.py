@@ -11,12 +11,13 @@ from repro.checker.counter_linearizability import (
     CounterHistory,
     check_counter_linearizable,
 )
+from repro.crdt.gcounter import GCounterValue, Increment
 from repro.errors import HistoryViolation
 from repro.net.latency import ConstantLatency
 from repro.net.sim_transport import SimNetwork
 from repro.runtime.cluster import ClientEndpoint, SimCluster
 from repro.sim.kernel import Simulator
-from repro.workload.adapters import CounterAdapter, CrdtPaxosAdapter, RsmAdapter
+from repro.workload.adapters import CrdtPaxosOpAdapter, OpAdapter, RsmOpAdapter
 
 
 class TestUnitChecks:
@@ -86,7 +87,7 @@ class TestUnitChecks:
 class _RecordingCounterClient:
     """Drives one protocol via its adapter and stamps a CounterHistory."""
 
-    def __init__(self, sim, network, address, adapter: CounterAdapter, history):
+    def __init__(self, sim, network, address, adapter: OpAdapter, history):
         self._sim = sim
         self._adapter = adapter
         self._history = history
@@ -101,13 +102,15 @@ class _RecordingCounterClient:
         self._open[op_id] = self._history.begin_increment(
             op_id, amount, self._sim.now
         )
-        self._endpoint.send(replica, self._adapter.update_message(op_id, amount))
+        message = self._adapter.update_message(op_id, Increment(amount))
+        self._endpoint.send(replica, message)
 
     def read(self, replica: str) -> None:
         self._counter += 1
         op_id = f"{self.address}#q{self._counter}"
         self._open[op_id] = self._history.begin_read(op_id, self._sim.now)
-        self._endpoint.send(replica, self._adapter.query_message(op_id))
+        message = self._adapter.query_message(op_id, GCounterValue())
+        self._endpoint.send(replica, message)
 
     def _on_reply(self, src, message) -> None:
         parsed = self._adapter.parse_reply(message)
@@ -129,7 +132,7 @@ def _build_cluster(protocol: str, sim, network):
         factory = lambda nid, peers: CrdtPaxosReplica(  # noqa: E731
             nid, peers, GCounter.initial()
         )
-        adapter: CounterAdapter = CrdtPaxosAdapter()
+        adapter: OpAdapter = CrdtPaxosOpAdapter()
     elif protocol == "raft":
         from repro.baselines.common import IntCounter
         from repro.baselines.raft import RaftConfig, RaftNode
@@ -137,7 +140,7 @@ def _build_cluster(protocol: str, sim, network):
         factory = lambda nid, peers: RaftNode(  # noqa: E731
             nid, peers, IntCounter(), RaftConfig(), rng=sim.rng.stream(f"r:{nid}")
         )
-        adapter = RsmAdapter()
+        adapter = RsmOpAdapter()
     elif protocol == "multi-paxos":
         from repro.baselines.common import IntCounter
         from repro.baselines.multipaxos import MultiPaxosConfig, MultiPaxosNode
@@ -145,13 +148,13 @@ def _build_cluster(protocol: str, sim, network):
         factory = lambda nid, peers: MultiPaxosNode(  # noqa: E731
             nid, peers, IntCounter(), MultiPaxosConfig(), rng=sim.rng.stream(f"m:{nid}")
         )
-        adapter = RsmAdapter()
+        adapter = RsmOpAdapter()
     else:  # gla
         from repro.baselines.common import IntCounter
         from repro.baselines.gla import GlaNode
 
         factory = lambda nid, peers: GlaNode(nid, peers, IntCounter)  # noqa: E731
-        adapter = RsmAdapter()
+        adapter = RsmOpAdapter()
     cluster = SimCluster(sim, network, factory, n_replicas=3)
     return cluster, adapter
 

@@ -12,8 +12,8 @@ clients observed a crash), so these campaigns check every completed
 operation without asserting ``all_complete``.
 
 A second family keeps ``request_timeout`` alive under the adversary
-(``keep_timeouts=True``) so update-timeout re-drives race parked
-coalesce envelopes — the schedule of the coalescing-aware re-drive fix.
+(``keep_timeouts=True``) so update-timeout re-drives race deliveries,
+eviction churn and restarts in arbitrary order.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -114,17 +114,18 @@ def test_restart_gla_stability_campaign(seed, n_ops, read_fraction):
     seed=st.integers(0, 2**32 - 1),
     n_ops=st.integers(15, 35),
 )
-def test_restart_under_armed_coalesce_timer_campaign(seed, n_ops):
-    """The satellite's adversarial variant: coalescing parks envelopes
-    and the adversary may kill the victim while its coalesce timer is
-    armed — spill_all must flush the outbox so nothing is stranded."""
+def test_restart_under_armed_sync_timer_campaign(seed, n_ops):
+    """Write-through durability parks certifying acks behind the sync
+    tick, and the adversary may kill the victim while that timer is
+    armed — spill_all must release the parked acks so nothing is
+    stranded."""
     explorer = KeyedInterleavingExplorer(
         seed=seed,
         n_keys=4,
         config=CrdtPaxosConfig(
             keyed_max_resident=2,
             keyed_max_frozen=1,
-            keyed_coalesce_window=0.002,
+            durability="write_through",
         ),
         spill_factory=InMemorySpillStore,
     )
@@ -143,15 +144,14 @@ def test_restart_under_armed_coalesce_timer_campaign(seed, n_ops):
 )
 def test_restart_with_loss_redrives_and_spill_campaign(seed, n_ops, drop):
     """The harshest composition: lossy links, live request timeouts
-    (re-drives racing parked envelopes), coalescing, spill churn AND a
-    mid-run kill/restart — safety must hold through all of it at once."""
+    (adversarially fired re-drives), spill churn AND a mid-run
+    kill/restart — safety must hold through all of it at once."""
     explorer = KeyedInterleavingExplorer(
         seed=seed,
         n_keys=4,
         config=CrdtPaxosConfig(
             keyed_max_resident=2,
             keyed_max_frozen=1,
-            keyed_coalesce_window=0.002,
             request_timeout=0.05,
         ),
         spill_factory=InMemorySpillStore,
@@ -191,7 +191,7 @@ def test_restart_and_spill_are_exercised():
 
 
 # ----------------------------------------------------------------------
-# Adversarial re-drives vs parked coalesce envelopes (keep_timeouts)
+# Adversarial re-drives (keep_timeouts)
 # ----------------------------------------------------------------------
 @_SETTINGS
 @given(
@@ -199,15 +199,11 @@ def test_restart_and_spill_are_exercised():
     n_ops=st.integers(10, 30),
     read_fraction=st.floats(0.1, 0.9),
 )
-def test_redrive_races_parked_envelopes_campaign(seed, n_ops, read_fraction):
+def test_redrives_race_deliveries_campaign(seed, n_ops, read_fraction):
     explorer = KeyedInterleavingExplorer(
         seed=seed,
         n_keys=4,
-        config=CrdtPaxosConfig(
-            keyed_max_resident=2,
-            keyed_coalesce_window=0.002,
-            request_timeout=0.05,
-        ),
+        config=CrdtPaxosConfig(keyed_max_resident=2, request_timeout=0.05),
         keep_timeouts=True,
     )
     report = explorer.run(n_ops=n_ops, read_fraction=read_fraction)
@@ -216,21 +212,17 @@ def test_redrive_races_parked_envelopes_campaign(seed, n_ops, read_fraction):
     assert report.all_complete
 
 
-def test_redrives_actually_supersede_parked_envelopes():
+def test_redrives_actually_fire():
     """Meaningfulness check: across seeds, the adversary really does
-    fire update timeouts while the original MERGE is still parked."""
-    superseded = 0
+    fire update/query timeouts, so the campaign above re-drives."""
+    timeouts = 0
     for seed in range(25):
         explorer = KeyedInterleavingExplorer(
             seed=seed,
             n_keys=3,
-            config=CrdtPaxosConfig(
-                keyed_max_resident=2,
-                keyed_coalesce_window=0.002,
-                request_timeout=0.05,
-            ),
+            config=CrdtPaxosConfig(keyed_max_resident=2, request_timeout=0.05),
             keep_timeouts=True,
         )
         report = explorer.run(n_ops=25, read_fraction=0.2)
-        superseded += report.keyed_envelopes_superseded
-    assert superseded > 0
+        timeouts += report.timeouts
+    assert timeouts > 0

@@ -10,8 +10,8 @@ with each other, so each key must satisfy the conditions independently.
 
 Three hostile configurations ride on top of the plain one:
 
-* cross-key envelope coalescing (``keyed_coalesce_window``), whose flush
-  timers the adversary fires in arbitrary order;
+* live request timeouts (``keep_timeouts``), whose re-drive timers the
+  adversary fires in arbitrary order;
 * GLA-Stability with eviction churn, checking that the persisted learned
   maximum keeps per-proposer learns monotone across freeze/thaw
   generations (§3.4);
@@ -27,9 +27,16 @@ from repro.core.config import CrdtPaxosConfig
 SEEDS = range(6)
 
 
-def run_and_check(seed, config=None, expect_gla=False, **run_kwargs):
+def run_and_check(
+    seed, config=None, expect_gla=False, keep_timeouts=False, **run_kwargs
+):
     explorer = KeyedInterleavingExplorer(
-        seed=seed, n_replicas=3, n_clients=3, n_keys=4, config=config
+        seed=seed,
+        n_replicas=3,
+        n_clients=3,
+        n_keys=4,
+        config=config,
+        keep_timeouts=keep_timeouts,
     )
     report = explorer.run(n_ops=40, **run_kwargs)
     assert report.histories, "campaign injected no operations"
@@ -46,13 +53,12 @@ def test_keyed_campaign_via_store_codec(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_keyed_campaign_with_coalescing(seed):
-    config = CrdtPaxosConfig(keyed_coalesce_window=0.005)
-    report = run_and_check(seed, config=config)
+def test_keyed_campaign_with_redrives(seed):
+    config = CrdtPaxosConfig(request_timeout=0.05)
+    report = run_and_check(seed, config=config, keep_timeouts=True)
     assert report.all_complete
-    # The adversarially fired flush timers actually packed batches.
-    assert report.keyed_batches_packed > 0
-    assert report.keyed_batches_unpacked > 0
+    # The adversarially fired timeout timers actually re-drove.
+    assert report.timeouts > 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -72,11 +78,11 @@ def test_keyed_campaign_lossy_duplicating_network(seed):
     assert report.deliveries > 0
 
 
-def test_coalescing_and_gla_compose():
+def test_redrives_and_gla_compose():
     config = CrdtPaxosConfig(
-        gla_stability=True, keyed_max_resident=2, keyed_coalesce_window=0.005
+        gla_stability=True, keyed_max_resident=2, request_timeout=0.05
     )
-    report = run_and_check(11, config=config, expect_gla=True)
+    report = run_and_check(11, config=config, expect_gla=True, keep_timeouts=True)
     assert report.all_complete
-    assert report.keyed_batches_packed > 0
+    assert report.timeouts > 0
     assert report.evictions > 0

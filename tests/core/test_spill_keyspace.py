@@ -1,5 +1,5 @@
 """Two-tier demotion (resident → RAM-frozen → spilled) in the keyed
-replica, and the eviction-vs-outbox pinning rule (ISSUE-4 satellite)."""
+replica, and the shutdown snapshot (``spill_all``) on top of it."""
 
 import pytest
 
@@ -14,7 +14,7 @@ PEERS = ["r0", "r1", "r2"]
 
 
 def replica_with_spill(
-    max_resident=4, max_frozen=4, coalesce=None, store=None
+    max_resident=4, max_frozen=4, store=None, durability="none"
 ):
     store = store if store is not None else InMemorySpillStore()
     replica = KeyedCrdtReplica(
@@ -24,7 +24,7 @@ def replica_with_spill(
         CrdtPaxosConfig(
             keyed_max_resident=max_resident,
             keyed_max_frozen=max_frozen,
-            keyed_coalesce_window=coalesce,
+            durability=durability,
         ),
         spill_store=store,
     )
@@ -106,62 +106,58 @@ class TestTwoTierDemotion:
         assert store.get("a").state.value() == 3  # record refreshed
 
 
-class TestEvictionVsOutbox:
-    """ISSUE-4 satellite: demoting/spilling a key must not strand its
-    parked coalesce envelopes.  Regression shape (failing before the
-    fix): an acceptor reply parks in the outbox, the key quiesces, and
-    capacity eviction demotes — and spill_all then dropped the key from
-    RAM while its envelopes were still parked (or, pre-fix, the freeze
-    simply raced the armed coalesce timer)."""
+class CountingStore(InMemorySpillStore):
+    """An in-memory store that counts record puts per key."""
 
-    def test_parked_envelopes_pin_their_key_resident(self):
-        replica, store = replica_with_spill(
-            max_resident=1, max_frozen=4, coalesce=0.005
-        )
-        merge(replica, "pinned", now=0.0)  # its Merged ack parks
-        assert replica._parked_count.get("pinned") == 1
-        # Admissions far past the cap cannot demote the parked key.
-        for i in range(6):
-            inst = replica.instance(f"filler{i}", now=float(i + 1))
-            assert inst is not None
-            replica._evict_excess()
-        assert "pinned" in replica._resident
-        # Once the coalesce flush drains the outbox, the pin lifts: the
-        # next over-cap admission demotes the (oldest) formerly-pinned key.
-        effects = replica.on_timer("keyspace-coalesce", 1.0)
-        assert effects.sends
-        assert replica._parked_count == {}
-        replica.instance("one-more", now=50.0)
-        replica._evict_excess()
-        assert "pinned" not in replica._resident
+    def __init__(self):
+        super().__init__()
+        self.key_puts = {}
 
-    def test_spill_all_flushes_parked_envelopes_instead_of_stranding(self):
-        replica, store = replica_with_spill(
-            max_resident=4, max_frozen=4, coalesce=0.005
+    def put(self, key, record):
+        self.key_puts[key] = self.key_puts.get(key, 0) + 1
+        super().put(key, record)
+
+
+class TestSpillAll:
+    def test_snapshot_does_not_re_put_what_the_store_holds(self):
+        """Under write-through every merge already put its key's triple,
+        so neither the frozen records nor the resident keys are put a
+        second time by the shutdown snapshot — and recovery still finds
+        every key."""
+        store = CountingStore()
+        replica, _ = replica_with_spill(
+            max_resident=2, max_frozen=None, store=store, durability="write_through"
         )
-        merge(replica, "k1", now=0.0)
-        merge(replica, "k2", now=0.1)
-        assert any(replica._outbox.values())
+        keys = [f"k{i}" for i in range(6)]
+        for i, key in enumerate(keys):
+            merge(replica, key, now=float(i))
+        assert replica.frozen_count() > 0
+        assert all(frozen.stored for frozen in replica._frozen.values())
+        before = dict(store.key_puts)
+        assert before == {key: 1 for key in keys}
         effects = replica.spill_all()
-        # The parked acks ride out with the shutdown flush...
-        flushed = [dst for dst, _ in effects.sends]
-        assert "r1" in flushed
-        assert not replica._outbox
-        # ...and both keys are durable.
-        assert "k1" in store and "k2" in store
+        assert store.key_puts == before
+        # The group-commit acks the snapshot releases still go out.
+        assert {dst for dst, _ in effects.sends} == {"r1"}
+        assert replica.spills == len(keys)
 
-    def test_eviction_under_armed_coalesce_timer_keeps_replies_intact(self):
-        """The adversarial-shaped variant: freeze attempts interleave
-        with an armed (un-fired) coalesce timer; when the flush finally
-        fires, every parked reply is still delivered exactly once."""
-        replica, store = replica_with_spill(
-            max_resident=1, max_frozen=1, coalesce=0.005
+        recovered = KeyedCrdtReplica.recover(
+            store,
+            "r0",
+            list(PEERS),
+            lambda key: GCounter.initial(),
+            CrdtPaxosConfig(keyed_max_resident=2),
         )
-        for i in range(5):
-            merge(replica, f"k{i}", now=float(i))  # each parks one ack
-        effects = replica.on_timer("keyspace-coalesce", 9.0)
-        delivered = []
-        for dst, message in effects.sends:
-            items = message.items if hasattr(message, "items") else [message]
-            delivered.extend(item.message.request_id for item in items)
-        assert sorted(delivered) == sorted(f"m-k{i}-1" for i in range(5))
+        assert sorted(recovered.keys()) == keys
+        for key in keys:
+            assert recovered.state_of(key).value() == 1
+
+    def test_snapshot_puts_records_no_persist_wrote(self):
+        store = CountingStore()
+        replica, _ = replica_with_spill(max_resident=2, max_frozen=None, store=store)
+        keys = [f"k{i}" for i in range(6)]
+        for i, key in enumerate(keys):
+            merge(replica, key, now=float(i))
+        assert store.key_puts == {}
+        replica.spill_all()
+        assert store.key_puts == {key: 1 for key in keys}

@@ -40,7 +40,7 @@ from repro.baselines.raft.messages import (
     RequestVote,
     RequestVoteReply,
 )
-from repro.core.keyspace import Keyed, KeyedBatch
+from repro.core.keyspace import Keyed
 from repro.core.messages import (
     ClientQuery,
     ClientUpdate,
@@ -218,7 +218,6 @@ EXEMPLARS = [
     Voted("q1", 1),
     VoteNack("q1", 1, _ROUND, _GC),
     _KEYED,
-    KeyedBatch(items=(_KEYED, Keyed(key=("t", 7), message=Merged("r0/u1")))),
     # Baseline RSMs
     LogEntry(2, "update", Increment(1), "c1", "u1"),
     RequestVote(3, "r1", 10, 2),

@@ -1,5 +1,5 @@
 """The keyed workload path end to end: Zipf sampling, the keyed
-closed-loop runner, checkable histories, and the deprecation shims."""
+closed-loop runner, checkable histories, and the op adapters."""
 
 import random
 
@@ -8,9 +8,10 @@ import pytest
 from repro.checker.lattice_linearizability import check_all
 from repro.core import CrdtPaxosConfig
 from repro.errors import ConfigurationError
+from repro.crdt.gcounter import GCounterValue, Increment
 from repro.workload import (
-    CrdtPaxosAdapter,
-    RsmAdapter,
+    CrdtPaxosOpAdapter,
+    RsmOpAdapter,
     WorkloadSpec,
     ZipfKeySampler,
     canonical_protocol,
@@ -139,18 +140,6 @@ class TestKeyedRunner:
         for history in result.histories.values():
             check_all(history)
 
-    def test_coalescing_counts_surface_in_keyed_stats(self):
-        config = CrdtPaxosConfig(keyed_coalesce_window=0.002)
-        result = run_workload("crdt-paxos", KEYED_SPEC, seed=5, crdt_config=config)
-        packed = sum(
-            s["keyed_batches_packed"] for s in result.keyed_stats.values()
-        )
-        unpacked = sum(
-            s["keyed_batches_unpacked"] for s in result.keyed_stats.values()
-        )
-        assert packed > 0 and unpacked > 0
-        assert result.completed_ops() > 0
-
     def test_keyed_records_carry_keys(self):
         result = run_workload("crdt-paxos", KEYED_SPEC, seed=6)
         assert result.records
@@ -204,19 +193,17 @@ class TestKeyedRunner:
             run_workload("raft", spec, record_histories=True)
 
 
-class TestDeprecationShims:
-    def test_crdt_paxos_adapter_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning):
-            adapter = CrdtPaxosAdapter()
-        update = adapter.update_message("u1", 3)
+class TestAdapters:
+    def test_crdt_paxos_op_adapter_counter_messages(self):
+        adapter = CrdtPaxosOpAdapter()
+        update = adapter.update_message("u1", Increment(3))
         assert update.op.amount == 3
         assert adapter.parse_reply("noise") is None
 
-    def test_rsm_adapter_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning):
-            adapter = RsmAdapter()
-        assert adapter.update_message("u1", 2).command == ("incr", 2)
-        assert adapter.query_message("q1").command == ("read",)
+    def test_rsm_op_adapter_counter_messages(self):
+        adapter = RsmOpAdapter()
+        assert adapter.update_message("u1", Increment(2)).command == ("incr", 2)
+        assert adapter.query_message("q1", GCounterValue()).command == ("read",)
 
     def test_profile_for_unknown_type(self):
         with pytest.raises(ConfigurationError):

@@ -2,11 +2,12 @@
 
 Two deterministic runs over small G-Counter payloads — a keyed Zipf
 closed loop through ``SimCluster`` (every message encoded for its byte
-count) and one keyed adversarial explorer seed — with counts recorded
-from the code before digest-first PREPAREs existed.  Small payloads
-never take that path, so any drift here means a change altered the
-protocol's behaviour on the common case, not just its large-payload
-wire format.  Run in a ``PYTHONHASHSEED=0`` subprocess: some counts
+count) and one keyed adversarial explorer seed.  The explorer counts
+were recorded from the code before digest-first PREPAREs existed; the
+Zipf counts from the code before the keyspace's cross-key coalescing
+outbox was deleted, with the outbox off.  Small payloads never take the
+digest path and the outbox was off, so any drift here means a change
+altered the protocol's behaviour on the common case.  Run in a ``PYTHONHASHSEED=0`` subprocess: some counts
 (e.g. eviction order) depend on set iteration order.
 """
 
@@ -23,12 +24,12 @@ from repro.workload.runner import run_workload
 from repro.workload.spec import WorkloadSpec
 
 spec = WorkloadSpec(
-    n_clients=16, read_ratio=0.5, duration=0.6, warmup=0.0,
+    n_clients=16, read_ratio=0.5, duration=0.1, warmup=0.0,
     n_keys=1000, key_skew=1.1,
 )
 zipf = run_workload(
     "crdt-paxos", spec, seed=0,
-    crdt_config=CrdtPaxosConfig(keyed_max_resident=128, keyed_coalesce_window=0.002),
+    crdt_config=CrdtPaxosConfig(keyed_max_resident=128),
 )
 report = KeyedInterleavingExplorer(0, n_keys=8).run(n_ops=60, read_fraction=0.4)
 learned = [
@@ -57,10 +58,9 @@ def test_small_payload_sims_match_their_pinned_counts():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     counts = json.loads(result.stdout)
-    # 5823 messages / 785565 bytes / 2221 ops.
-    assert counts["zipf_messages"] == {"Keyed": 4523, "KeyedBatch": 1300}
-    assert counts["zipf_bytes"] == {"Keyed": 266405, "KeyedBatch": 519160}
-    assert counts["zipf_ops"] == 2221
+    assert counts["zipf_messages"] == {"Keyed": 23283}
+    assert counts["zipf_bytes"] == {"Keyed": 1711896}
+    assert counts["zipf_ops"] == 3586
     # steps, deliveries, injections, evictions, rehydrations.
     assert counts["explorer"] == [520, 460, 60, 119, 106]
     assert counts["explorer_learned"] == [22, 56]

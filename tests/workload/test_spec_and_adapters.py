@@ -4,8 +4,9 @@ import pytest
 
 from repro.baselines.common import RsmQuery, RsmQueryDone, RsmUpdate, RsmUpdateDone
 from repro.core.messages import ClientQuery, ClientUpdate, QueryDone, UpdateDone
+from repro.crdt.gcounter import GCounterValue, Increment
 from repro.errors import ConfigurationError
-from repro.workload.adapters import CrdtPaxosAdapter, RsmAdapter
+from repro.workload.adapters import CrdtPaxosOpAdapter, RsmOpAdapter
 from repro.workload.spec import WorkloadSpec
 
 
@@ -31,15 +32,15 @@ class TestWorkloadSpec:
 
 class TestCrdtPaxosAdapter:
     def test_messages(self):
-        adapter = CrdtPaxosAdapter()
-        update = adapter.update_message("u1", 3)
-        query = adapter.query_message("q1")
+        adapter = CrdtPaxosOpAdapter()
+        update = adapter.update_message("u1", Increment(3))
+        query = adapter.query_message("q1", GCounterValue())
         assert isinstance(update, ClientUpdate)
         assert update.op.amount == 3
         assert isinstance(query, ClientQuery)
 
     def test_parse_replies(self):
-        adapter = CrdtPaxosAdapter()
+        adapter = CrdtPaxosOpAdapter()
         parsed = adapter.parse_reply(UpdateDone(request_id="u1"))
         assert parsed.kind == "update" and parsed.request_id == "u1"
         parsed = adapter.parse_reply(
@@ -56,31 +57,31 @@ class TestCrdtPaxosAdapter:
         assert parsed.kind == "read"
         assert parsed.result == 5
         assert parsed.round_trips == 2
-        assert parsed.via == "vote"
+        assert parsed.learned_via == "vote"
 
     def test_non_completion_messages_ignored(self):
-        assert CrdtPaxosAdapter().parse_reply("noise") is None
+        assert CrdtPaxosOpAdapter().parse_reply("noise") is None
 
 
 class TestRsmAdapter:
     def test_messages(self):
-        adapter = RsmAdapter()
-        update = adapter.update_message("u1", 2)
-        query = adapter.query_message("q1")
+        adapter = RsmOpAdapter()
+        update = adapter.update_message("u1", Increment(2))
+        query = adapter.query_message("q1", GCounterValue())
         assert isinstance(update, RsmUpdate)
         assert update.command == ("incr", 2)
         assert isinstance(query, RsmQuery)
         assert query.command == ("read",)
 
     def test_parse_replies(self):
-        adapter = RsmAdapter()
+        adapter = RsmOpAdapter()
         assert adapter.parse_reply(RsmUpdateDone(request_id="u")).kind == "update"
         parsed = adapter.parse_reply(
             RsmQueryDone(request_id="q", result=9, served_by="r1", via="lease")
         )
         assert parsed.kind == "read"
         assert parsed.result == 9
-        assert parsed.via == "lease"
+        assert parsed.learned_via == "lease"
 
     def test_non_completion_messages_ignored(self):
-        assert RsmAdapter().parse_reply(42) is None
+        assert RsmOpAdapter().parse_reply(42) is None
