@@ -50,3 +50,12 @@ class Envelope:
             cached = ENVELOPE_OVERHEAD_BYTES + wire_size(self.payload)
             object.__setattr__(self, "_size", cached)
         return cached
+
+    def readdressed(self, src: str, dst: str) -> Envelope:
+        """The same payload on another link, sharing the memoized size
+        (a broadcast sizes its one payload object once, not per peer)."""
+        envelope = Envelope(src=src, dst=dst, payload=self.payload)
+        cached = self.__dict__.get("_size")
+        if cached is not None:
+            object.__setattr__(envelope, "_size", cached)
+        return envelope

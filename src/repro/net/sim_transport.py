@@ -88,6 +88,11 @@ class SimNetwork:
         #: reordering (§2.1), and the correctness tests rely on it.
         self.fifo_links = fifo_links
         self._link_clock: dict[tuple[str, str], float] = {}
+        #: The previous send and the simulator step it happened in: a
+        #: broadcast hands over one payload object per destination in a
+        #: row, within one handling step, so its size is reused.
+        self._last_sent: Envelope | None = None
+        self._last_step = -1
 
     # ------------------------------------------------------------------
     def register(self, address: str, endpoint: Endpoint) -> None:
@@ -104,8 +109,15 @@ class SimNetwork:
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Route one message; may drop, duplicate, and delays arbitrarily."""
-        envelope = Envelope(src=src, dst=dst, payload=payload)
+        last = self._last_sent
+        step = self._sim.events_executed
+        if last is not None and last.payload is payload and self._last_step == step:
+            envelope = last.readdressed(src, dst)
+        else:
+            envelope = Envelope(src=src, dst=dst, payload=payload)
         size = envelope.size_bytes()
+        self._last_sent = envelope
+        self._last_step = step
         self.stats.record_send(type(payload).__name__, size)
 
         if dst not in self._endpoints:

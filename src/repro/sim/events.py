@@ -34,10 +34,16 @@ class Event:
 
 
 class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects."""
+    """A binary-heap priority queue of :class:`Event` objects.
+
+    The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
+    ordering is decided by native tuple comparison and never reaches the
+    event (the generated ``Event.__lt__`` was the simulator's hottest
+    call).
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
 
     def __len__(self) -> int:
@@ -48,9 +54,10 @@ class EventQueue:
 
     def push(self, time: float, callback: Callable[..., None], args: tuple[Any, ...] = ()) -> Event:
         """Schedule ``callback(*args)`` at ``time`` and return its handle."""
-        event = Event(time=time, seq=self._seq, callback=callback, args=args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = Event(time=time, seq=seq, callback=callback, args=args)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Event | None:
@@ -58,16 +65,18 @@ class EventQueue:
 
         Cancelled events are discarded transparently.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> float | None:
         """Return the timestamp of the next live event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]

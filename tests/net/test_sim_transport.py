@@ -100,3 +100,62 @@ def test_unregistered_at_delivery_time_is_dropped():
     network.unregister("b")
     sim.run()
     assert network.stats.messages_dropped == 1
+
+
+class CountingSizes:
+    """Counts how often the wire codec sizes a payload."""
+
+    def __init__(self, monkeypatch):
+        import repro.net.message as message
+
+        self.calls = 0
+        real = message.wire_size
+
+        def counting(obj):
+            self.calls += 1
+            return real(obj)
+
+        monkeypatch.setattr(message, "wire_size", counting)
+
+
+def test_broadcast_sizes_its_payload_once(monkeypatch):
+    sim, network = make_network()
+    received = []
+    for peer in ("b", "c", "d"):
+        network.register(peer, CallbackEndpoint(received.append))
+    sizes = CountingSizes(monkeypatch)
+    payload = ("merge", 12345)
+    for peer in ("b", "c", "d"):
+        network.send("a", peer, payload)
+    sim.run()
+    assert sizes.calls == 1
+    assert sorted(env.dst for env in received) == ["b", "c", "d"]
+    assert all(env.src == "a" for env in received)
+    assert len({env.size_bytes() for env in received}) == 1
+    assert network.stats.bytes_by_type["tuple"] == 3 * received[0].size_bytes()
+
+
+def test_same_payload_in_a_later_step_is_sized_again(monkeypatch):
+    sim, network = make_network()
+    received = []
+    network.register("b", CallbackEndpoint(received.append))
+    sizes = CountingSizes(monkeypatch)
+    payload = ["grows"]
+    network.send("a", "b", payload)
+    sim.run()
+    payload.append("between steps")
+    sim.schedule(0.0, network.send, "a", "b", payload)
+    sim.run()
+    assert sizes.calls == 2
+    first, second = (env.size_bytes() for env in received)
+    assert second > first
+    assert network.stats.bytes_by_type["list"] == first + second
+
+
+def test_distinct_payloads_are_sized_separately(monkeypatch):
+    sim, network = make_network()
+    network.register("b", CallbackEndpoint(lambda env: None))
+    sizes = CountingSizes(monkeypatch)
+    network.send("a", "b", ["x", 1])
+    network.send("a", "b", ["x", 1])
+    assert sizes.calls == 2
